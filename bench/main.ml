@@ -842,6 +842,47 @@ let program_bench =
       Test.make ~name:"sync fast path x250" (Staged.stage (run_one locker));
     ]
 
+(* The idle processor's steal sweep (Section 4.2) on its own: 64 ready
+   lists, the one non-empty list last in the thief's victim order.  Each
+   run sweeps, steals the thread and puts it back.  Gated by [micro
+   --check]: a per-probe rescan of every list would make it quadratic. *)
+let uthread_bench =
+  let module Ft_core = Sa_uthread.Ft_core in
+  let module Time = Sa_engine.Time in
+  let queues = 64 and thief = 0 in
+  let victim = queues - 1 in
+  let s = Ft_core.create_state ~queues () in
+  let d =
+    {
+      Ft_core.costs = Sa_hw.Cost_model.firefly_cvax;
+      strategy = Ft_core.Copy_sections;
+      sa_accounting = false;
+      io_latency = Time.ns 0;
+      charge = (fun _ _ _ -> ());
+      block_io = (fun _ _ _ -> ());
+      block_kernel = (fun _ ~register:_ _ -> ());
+      thread_stopped = ignore;
+      work_created = (fun _ _ -> ());
+      all_done = ignore;
+      on_stamp = ignore;
+    }
+  in
+  Ft_core.make_ready s d ~at:victim
+    (Ft_core.new_thread s d Sa_program.Program.Done);
+  let sim = Sa_engine.Sim.create () in
+  let sweep () =
+    match Ft_core.steal_sweep s sim ~thief with
+    | Some (cell, tcb) ->
+        Ft_core.unlock_cell cell;
+        Ft_core.requeue_front s victim tcb
+    | None -> failwith "steal sweep found no work"
+  in
+  Test.make_grouped ~name:"uthread"
+    [
+      Test.make ~name:"steal sweep 64 queues (one non-empty victim)"
+        (Staged.stage sweep);
+    ]
+
 let micro_estimates test =
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
@@ -870,7 +911,7 @@ let run_micro () =
       List.iter
         (fun (name, est) -> Printf.printf "%-44s %14.1f ns/run\n" name est)
         (micro_estimates test))
-    [ paper_tests; simulator_tests; calq_bench; program_bench ]
+    [ paper_tests; simulator_tests; calq_bench; program_bench; uthread_bench ]
 
 (* ------------------------------------------------------------------ *)
 (* Micro regression gate                                               *)
@@ -893,6 +934,7 @@ let micro_gate_estimates () =
   micro_estimates simulator_tests
   @ micro_estimates calq_bench
   @ micro_estimates program_bench
+  @ micro_estimates uthread_bench
   |> List.sort compare
 
 let micro_record () =

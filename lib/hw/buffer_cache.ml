@@ -100,6 +100,7 @@ let fill t block =
   end
 
 let resident t block = Hashtbl.mem t.table block
+let in_flight t block = Hashtbl.mem t.in_flight block
 let hits t = t.hit_count
 let misses t = t.miss_count
 

@@ -33,6 +33,12 @@ val fill : t -> int -> unit
     least-recently-used resident block if at capacity. *)
 
 val resident : t -> int -> bool
+
+val in_flight : t -> int -> bool
+(** A fill of [block] is outstanding: it was missed and not yet {!fill}ed.
+    A {!Miss_in_flight} waiter that registers late checks this first — the
+    fill may have landed (and woken the waiters so far) in the meantime. *)
+
 val hits : t -> int
 val misses : t -> int
 

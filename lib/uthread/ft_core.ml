@@ -1,4 +1,5 @@
 module Time = Sa_engine.Time
+module Sim = Sa_engine.Sim
 module Program = Sa_program.Program
 module Pcode = Sa_program.Program.Code
 module Cost_model = Sa_hw.Cost_model
@@ -39,7 +40,7 @@ type cs_cell = {
 
 type tcb = {
   tid : int;
-  name : string;
+  name : string;  (* "" until named: [tcb_name] then formats "t<tid>" *)
   mutable prio : int;  (* higher runs first; children inherit the forker's *)
   mutable tstate : tstate;
   mutable resume : unit -> unit;  (* valid when Ready *)
@@ -114,7 +115,9 @@ type state = {
   mutable live : int;
   mutable ready_count : int;
   mutable running_count : int;
-  threads : (int, tcb) Hashtbl.t;
+  mutable threads : tcb array;
+      (* dense thread table: tid [i] (1 .. next_tid) at index [i]; slot 0
+         and slots past [next_tid] hold filler *)
   mutexes : (int, mutex_state) Hashtbl.t;
   conds : (int, cond_state) Hashtbl.t;
   sems : (int, sem_state) Hashtbl.t;
@@ -166,7 +169,7 @@ type link = {
 let compiled_enabled = ref true
 
 let tcb_id t = t.tid
-let tcb_name t = t.name
+let tcb_name t = if t.name = "" then "t" ^ string_of_int t.tid else t.name
 let tcb_priority t = t.prio
 let tcb_state t = t.tstate
 let tcb_in_cs t = t.held_cell <> None
@@ -186,7 +189,7 @@ let create_state ~queues ?(policy = Sched_policy.work_steal) ?cache ?io_dev ()
     live = 0;
     ready_count = 0;
     running_count = 0;
-    threads = Hashtbl.create 64;
+    threads = [||];
     has_priorities = false;
     mutexes = Hashtbl.create 16;
     conds = Hashtbl.create 16;
@@ -217,11 +220,14 @@ let create_state ~queues ?(policy = Sched_policy.work_steal) ?cache ?io_dev ()
   }
 
 let stats s = s.st
-let policy s = s.policy
 let live_threads s = s.live
 let ready_threads s = s.ready_count
 let runnable_threads s = s.ready_count + s.running_count
 let finished s = s.live = 0
+
+let find_thread s tid =
+  if tid >= 1 && tid <= s.next_tid then s.threads.(tid)
+  else invalid_arg "Join: unknown thread id"
 
 let state_counts s =
   let states =
@@ -229,18 +235,20 @@ let state_counts s =
   in
   List.map
     (fun st ->
-      let n =
-        Hashtbl.fold
-          (fun _ tcb acc -> if tcb.tstate = st then acc + 1 else acc)
-          s.threads 0
-      in
-      (st, n))
+      let n = ref 0 in
+      for tid = 1 to s.next_tid do
+        if s.threads.(tid).tstate = st then incr n
+      done;
+      (st, !n))
     states
 
 let threads_in s st =
-  Hashtbl.fold
-    (fun _ tcb acc -> if tcb.tstate = st then tcb :: acc else acc)
-    s.threads []
+  let acc = ref [] in
+  for tid = s.next_tid downto 1 do
+    let tcb = s.threads.(tid) in
+    if tcb.tstate = st then acc := tcb :: !acc
+  done;
+  !acc
 
 let io_device s = s.io_dev
 let set_remote_fill s f = s.remote_fill <- f
@@ -339,29 +347,6 @@ let steal_from s ~victim =
   s.policy.Sched_policy.sp_steal ~prio:tcb_prio ~use_prio:s.has_priorities
     s.queues ~victim
 
-let pop_work s index =
-  match pop_own s index with
-  | Some tcb -> Some (tcb, false)
-  | None ->
-      let n = Array.length s.queues in
-      let rec scan k =
-        if k >= n then None
-        else
-          let j =
-            s.policy.Sched_policy.sp_victim ~nqueues:n ~thief:index ~attempt:k
-          in
-          if j = index then scan (k + 1)
-          else
-            match steal_from s ~victim:j with
-            | Some tcb -> Some (tcb, true)
-            | None -> scan (k + 1)
-      in
-      scan 1
-let nqueues s = Array.length s.queues
-
-(* O(nqueues) field reads; lets idle processors skip a provably fruitless
-   steal sweep (lock probes, victim draws) when every ready list is empty. *)
-let any_ready s = Array.exists (fun q -> not (Deque.is_empty q)) s.queues
 let requeue_front s index tcb = Deque.push_front s.queues.(index) tcb
 
 let run_thread s ~index tcb =
@@ -419,6 +404,46 @@ let spin_lock_cell s cell ~owner ?(slice = default_spin_slice) ~charge k =
   attempt slice
 
 let set_clock s f = s.clock <- f
+
+(* The idle processor's sweep over its peers' ready lists (Section 4.2),
+   in the policy's victim order.  Nothing is charged between probes, so
+   with no chooser installed an empty list can be skipped on a plain
+   emptiness read: probing it could only fail a lock (no effect) or take
+   and drop the cell, which at most clears an expired lease (manager
+   owner ids are negative, never a lease holder's tid) — unobservable
+   either way.  Under a chooser every attempt stays a "steal-victim"
+   choice point, so recorded schedules replay unchanged.  Top-level and
+   closure-free: a sweep that finds nothing allocates nothing. *)
+let rec sweep_from s sim ~thief ~chosen k =
+  let n = Array.length s.queues in
+  if k >= n then None
+  else
+    let v = s.policy.Sched_policy.sp_victim ~nqueues:n ~thief ~attempt:k in
+    let v =
+      if chosen then
+        Sim.pick sim ~site:"steal-victim" ~arity:n ~default:v
+      else v
+    in
+    if v = thief || ((not chosen) && Deque.is_empty s.queues.(v)) then
+      sweep_from s sim ~thief ~chosen (k + 1)
+    else
+      let cell = s.q_cells.(v) in
+      if not (try_lock_cell s cell ~owner:(-(thief + 1))) then
+        sweep_from s sim ~thief ~chosen (k + 1)
+      else
+        match steal_from s ~victim:v with
+        | Some tcb ->
+            s.st.steals <- s.st.steals + 1;
+            Some (cell, tcb)
+        | None ->
+            unlock_cell cell;
+            sweep_from s sim ~thief ~chosen (k + 1)
+
+let steal_sweep s sim ~thief =
+  let chosen =
+    match Sim.chooser sim with None -> false | Some _ -> true
+  in
+  sweep_from s sim ~thief ~chosen 1
 
 (* ------------------------------------------------------------------ *)
 (* Charged operations                                                  *)
@@ -521,19 +546,17 @@ let rec exec s d tcb prog =
           s.st.forks <- s.st.forks + 1;
           make_ready s d ~at:tcb.binding child;
           exec s d tcb (k child.tid))
-  | Program.Join (tid', k) -> (
-      match Hashtbl.find_opt s.threads tid' with
-      | None -> invalid_arg "Join: unknown thread id"
-      | Some target ->
-          charge_op s d tcb
-            ~cell:(queue_cell s tcb.binding)
-            ~cost:c.Cost_model.ut_join ~crossings:1
-            (fun () ->
-              if target.tstate = Done then exec s d tcb (k ())
-              else begin
-                target.joiners <- tcb :: target.joiners;
-                block_user s d tcb (fun () -> exec s d tcb (k ()))
-              end))
+  | Program.Join (tid', k) ->
+      let target = find_thread s tid' in
+      charge_op s d tcb
+        ~cell:(queue_cell s tcb.binding)
+        ~cost:c.Cost_model.ut_join ~crossings:1
+        (fun () ->
+          if target.tstate = Done then exec s d tcb (k ())
+          else begin
+            target.joiners <- tcb :: target.joiners;
+            block_user s d tcb (fun () -> exec s d tcb (k ()))
+          end)
   | Program.Acquire (m, k) ->
       let ms = mutex_state s m in
       charge_op s d tcb ~cell:ms.m_cell ~cost:c.Cost_model.ut_lock ~crossings:1
@@ -970,9 +993,7 @@ and flat_join_target s tcb operand =
       | Some t -> t
       | None -> invalid_arg "Join: unknown thread id"
   in
-  match Hashtbl.find_opt s.threads tid with
-  | Some target -> target
-  | None -> invalid_arg "Join: unknown thread id"
+  find_thread s tid
 
 (* Post-charge state transition for the op at [tcb.pc] (the reference
    interpreter's [after] closures, dispatched on the op tag). *)
@@ -1197,7 +1218,6 @@ and link_code s code =
 and make_tcb s ~name =
   s.next_tid <- s.next_tid + 1;
   let tid = s.next_tid in
-  let name = if name = "" then Printf.sprintf "t%d" tid else name in
   let tcb =
     {
       tid;
@@ -1218,7 +1238,13 @@ and make_tcb s ~name =
       k_run = nop;
     }
   in
-  Hashtbl.replace s.threads tid tcb;
+  let cap = Array.length s.threads in
+  if tid >= cap then begin
+    let grown = Array.make (max 64 (2 * cap)) tcb in
+    Array.blit s.threads 0 grown 0 cap;
+    s.threads <- grown
+  end;
+  s.threads.(tid) <- tcb;
   s.live <- s.live + 1;
   tcb
 

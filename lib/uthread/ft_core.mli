@@ -92,9 +92,6 @@ val create_state :
 
 val stats : state -> stats
 
-val policy : state -> tcb Sched_policy.t
-(** The ready-list discipline this state was created with. *)
-
 val live_threads : state -> int
 val ready_threads : state -> int
 val runnable_threads : state -> int
@@ -181,25 +178,12 @@ val make_ready : state -> driver -> at:int -> tcb -> unit
 (** Enqueue on ready list [at] (via the policy's [sp_push_new]) and fire
     [work_created]. *)
 
-val pop_work : state -> int -> (tcb * bool) option
-(** Take the next thread for vessel [index]: its own list first, else
-    probe the others in the policy's victim order (second component
-    [true] for steals).  Does not spin on cell locks — callers hold them
-    via {!spin_lock_cell}. *)
-
 val pop_own : state -> int -> tcb option
 (** Next thread from vessel [index]'s own ready list (policy-ordered). *)
 
-val steal_from : state -> victim:int -> tcb option
-(** Take one thread from [victim]'s ready list (policy-ordered). *)
-
-val nqueues : state -> int
-
-val any_ready : state -> bool
-(** Whether any ready list is non-empty (O(queues) field reads, no locking). *)
-
 val requeue_front : state -> int -> tcb -> unit
-(** Undo a [pop_work] (dispatch repair). *)
+(** Put a thread just taken off ready list [index] back at its front
+    (repair of a dispatch preempted before it completed). *)
 
 val dispatch_cost : driver -> Time.span
 (** Cost the substrate charges to take a thread off a ready list (includes
@@ -245,6 +229,18 @@ val lease_cell : state -> cs_cell -> holder:int -> span:Time.span -> unit
 val set_clock : state -> (unit -> Time.t) -> unit
 (** Install the simulated-time source consulted by cell-lease probes.
     Substrates call this once at create time. *)
+
+val steal_sweep :
+  state -> Sa_engine.Sim.t -> thief:int -> (cs_cell * tcb) option
+(** One idle processor's sweep over the other ready lists (Section 4.2),
+    attempts [1 .. nqueues-1] in the policy's victim order.  Returns the
+    stolen thread with its victim's cell locked (the caller leases or
+    unlocks it), counting a steal, or [None] when no list yielded work.
+    With no chooser installed, empty lists are skipped without a lock
+    probe (exact: the sweep charges nothing, and probing an empty list
+    has no observable effect); under a chooser every attempt is a
+    ["steal-victim"] choice point, as recorded schedules expect.  Never
+    spins: a held victim cell is skipped. *)
 
 val spin_lock_cell :
   state ->

@@ -199,9 +199,11 @@ and dispatch t act idx =
     (fun () ->
       match Ft_core.pop_own s idx with
       | Some tcb -> run_picked t act idx cell tcb
-      | None ->
+      | None -> (
           Ft_core.unlock_cell cell;
-          steal_scan t act idx 1)
+          match Ft_core.steal_sweep s (Kernel.sim t.kernel) ~thief:idx with
+          | Some (vcell, tcb) -> run_picked t act idx vcell tcb
+          | None -> idle_hysteresis t act idx))
 
 and run_picked t act idx cell tcb =
   let s = t.core_state in
@@ -227,46 +229,6 @@ and run_picked t act idx cell tcb =
     charge_manager t act ~repair (Ft_core.dispatch_cost d) (fun () ->
         Ft_core.unlock_cell cell;
         Ft_core.run_thread s ~index:idx tcb)
-
-and steal_scan t act idx k =
-  let s = t.core_state in
-  let nq = Ft_core.nqueues s in
-  if k >= nq then idle_hysteresis t act idx
-  else if
-    (* With no chooser installed the sweep over empty lists is pure
-       mechanism — failed lock probes and default victim draws with no
-       observable effect — so an emptiness check may stand in for it.
-       Under a chooser the full sweep must run: each probe is a recorded
-       "steal-victim" choice point. *)
-    (match Sim.chooser (Kernel.sim t.kernel) with
-    | None -> not (Ft_core.any_ready s)
-    | Some _ -> false)
-  then idle_hysteresis t act idx
-  else begin
-    (* Victim order comes from the policy; the explorer can override it at
-       the "steal-victim" choice point (identity default). *)
-    let d =
-      (Ft_core.policy s).Sched_policy.sp_victim ~nqueues:nq ~thief:idx
-        ~attempt:k
-    in
-    let v =
-      Sim.pick (Kernel.sim t.kernel) ~site:"steal-victim" ~arity:nq ~default:d
-    in
-    if v = idx then steal_scan t act idx (k + 1)
-    else begin
-      let vcell = Ft_core.queue_cell s v in
-      if Ft_core.try_lock_cell s vcell ~owner:(-(idx + 1)) then begin
-        match Ft_core.steal_from s ~victim:v with
-        | Some tcb ->
-            (Ft_core.stats s).steals <- (Ft_core.stats s).steals + 1;
-            run_picked t act idx vcell tcb
-        | None ->
-            Ft_core.unlock_cell vcell;
-            steal_scan t act idx (k + 1)
-      end
-      else steal_scan t act idx (k + 1)
-    end
-  end
 
 and idle_hysteresis t act _idx =
   (* Section 4.2: an idle processor spins for a while before notifying the

@@ -257,14 +257,20 @@ let rec exec t thr (ops : Kernel.kt_ops) prog =
                           exec t thr ops (k ())))
               | Buffer_cache.Miss_in_flight ->
                   ops.Kernel.kt_charge c.Cost_model.kt_block (fun () ->
-                      ops.Kernel.kt_block_on
-                        ~register:(fun wake ->
-                          let old =
-                            Option.value ~default:[]
-                              (Hashtbl.find_opt t.cache_waiters block)
-                          in
-                          Hashtbl.replace t.cache_waiters block (wake :: old))
-                        (continue k))))
+                      (* Re-check at the end of the block path: if the fill
+                         landed during it, its waiters were already woken
+                         and registering now would sleep forever. *)
+                      if not (Buffer_cache.in_flight cache block) then
+                        exec t thr ops (k ())
+                      else
+                        ops.Kernel.kt_block_on
+                          ~register:(fun wake ->
+                            let old =
+                              Option.value ~default:[]
+                                (Hashtbl.find_opt t.cache_waiters block)
+                            in
+                            Hashtbl.replace t.cache_waiters block (wake :: old))
+                          (continue k))))
   | Program.Yield k -> ops.Kernel.kt_yield (continue k)
   | Program.Stamp (id, k) ->
       t.observer id (Sim.now (Kernel.sim t.kernel));

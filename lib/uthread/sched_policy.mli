@@ -31,7 +31,10 @@ type 'a t = {
     use_prio:bool ->
     'a Deque.t array ->
     victim:int ->
-    'a option;  (** take one thread from [victim]'s queue, if any *)
+    'a option;
+      (** take one thread from [victim]'s queue; [None] when that queue
+          is empty ({!Ft_core.steal_sweep} skips empty queues on this
+          promise) *)
   sp_victim : nqueues:int -> thief:int -> attempt:int -> int;
       (** victim probed on the [attempt]-th step of a steal scan
           (attempts run 1 .. nqueues-1); substrates route the result

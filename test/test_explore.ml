@@ -71,7 +71,55 @@ let test_default_chooser_identity () =
     under.Search.digest;
   Alcotest.(check (list int))
     "no decision diverges from its default" []
-    (Schedule.divergences sched)
+    (Schedule.divergences sched);
+  (* With no chooser the steal sweep skips empty ready lists without
+     probing them; under a chooser every attempt is a recorded
+     "steal-victim" pick.  A 64-CPU fork-join sweeps 63 peers per idle
+     processor, so any difference between the two paths would show. *)
+  List.iter
+    (fun (label, backend, kconfig) ->
+      let fork_join ~chooser =
+        let module System = Sa.System in
+        let sys = System.create ~cpus:64 ~kconfig () in
+        Sim.set_chooser (System.sim sys) chooser;
+        let open Sa_program.Program.Build in
+        let leaf b i = to_program (compute (Time.us (10 + ((b + i) mod 13)))) in
+        let branch b = to_program (repeat 6 (fun i -> fork_unit (leaf b i))) in
+        let prog = to_program (repeat 64 (fun b -> fork_unit (branch b))) in
+        let job = System.submit sys ~backend ~name:"fj" prog in
+        System.run sys;
+        let ust = Option.get (System.uthread_stats job) in
+        let fingerprint =
+          Marshal.to_string
+            ( Sa_kernel.Kernel.stats (System.kernel sys),
+              ust,
+              Sim.events (System.sim sys),
+              Time.to_ns (Sim.now (System.sim sys)) )
+            []
+        in
+        ( Digest.to_hex (Digest.string fingerprint),
+          System.elapsed job,
+          ust.Sa_uthread.Ft_core.steals )
+      in
+      let bare_digest, bare_makespan, bare_steals = fork_join ~chooser:None in
+      let rec_state, rec_chooser = Chooser.recording () in
+      let digest, makespan, steals = fork_join ~chooser:(Some rec_chooser) in
+      Alcotest.(check string) (label ^ ": digest") bare_digest digest;
+      Alcotest.(check (option int)) (label ^ ": makespan") bare_makespan makespan;
+      Alcotest.(check int) (label ^ ": steals") bare_steals steals;
+      Alcotest.(check bool) (label ^ ": some steals") true (steals > 0);
+      Alcotest.(check bool)
+        (label ^ ": steal-victim decisions recorded")
+        true
+        (Array.exists
+           (function
+             | Schedule.Pick { site = "steal-victim"; _ } -> true
+             | Schedule.Pick _ | Schedule.Draw _ -> false)
+           (Chooser.recorded rec_state).Schedule.decisions))
+    [
+      ("ft-on-sa", `Fastthreads_on_sa, Sa_kernel.Kconfig.default);
+      ("ft-on-kthreads", `Fastthreads_on_kthreads 64, Sa_kernel.Kconfig.native);
+    ]
 
 let test_rng_interpose () =
   let a = Rng.create 42 in

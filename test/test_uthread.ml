@@ -568,9 +568,17 @@ let misuse_tests =
           (B.to_program (B.wait cv m))
           "Wait: caller does not hold mutex");
     Alcotest.test_case "join on an unknown id is rejected" `Quick (fun () ->
-        expect_program_error "bad-join" Kconfig.default `Fastthreads_on_sa
-          (B.to_program (B.join 424242))
-          "Join: unknown thread id");
+        (* Tids run 1 .. next_tid and the main thread is tid 1, so 2 is the
+           first id past the table.  A negative literal defeats the
+           compiler, so that case runs the reference interpreter. *)
+        List.iter
+          (fun tid ->
+            expect_program_error
+              (Printf.sprintf "bad-join-%d" tid)
+              Kconfig.default `Fastthreads_on_sa
+              (B.to_program (B.join tid))
+              "Join: unknown thread id")
+          [ 424242; 0; -1; 2 ]);
     Alcotest.test_case "release by a non-holder thread is rejected (kt)"
       `Quick (fun () ->
         let m = P.Mutex.create () in
@@ -607,6 +615,35 @@ let misuse_tests =
               (String.length m > 0));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Thread table                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let thread_table_tests =
+  [
+    Alcotest.test_case "10k forks: census, default names" `Quick (fun () ->
+        let forks = 10_000 in
+        let sys = System.create ~cpus:4 ~kconfig:Kconfig.default () in
+        let job =
+          System.submit sys ~backend:`Fastthreads_on_sa ~name:"table"
+            (B.to_program
+               (B.repeat forks (fun _ ->
+                    B.fork_unit (B.to_program (B.compute (Time.us 1))))))
+        in
+        System.run sys;
+        let s = Option.get (System.ft_core_state job) in
+        check Alcotest.int "census counts every thread" (forks + 1)
+          (List.fold_left (fun acc (_, n) -> acc + n) 0 (Ft_core.state_counts s));
+        let done_ = Ft_core.threads_in s Ft_core.Done in
+        check Alcotest.int "all done" (forks + 1) (List.length done_);
+        List.iter
+          (fun t ->
+            let id = Ft_core.tcb_id t in
+            let expected = if id = 1 then "main" else Printf.sprintf "t%d" id in
+            check Alcotest.string "name" expected (Ft_core.tcb_name t))
+          done_);
+  ]
+
 let () =
   Alcotest.run "uthread"
     [
@@ -622,4 +659,5 @@ let () =
       ("fastthreads", ft_specific_tests);
       ("priorities", priority_tests);
       ("misuse", misuse_tests);
+      ("thread-table", thread_table_tests);
     ]

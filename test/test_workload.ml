@@ -184,6 +184,29 @@ let nbody_tests =
             check Alcotest.int "no misses at 100%" 0
               (Sa_hw.Buffer_cache.misses cache)
         | None -> Alcotest.fail "cache expected");
+    Alcotest.test_case "Topaz threads finish under coalesced cache misses"
+      `Quick (fun () ->
+        (* A thread that sees [Miss_in_flight] charges the kernel block
+           path before it registers as a waiter; on these seeds the fill
+           lands inside that charge, so without a re-check the waiter (and
+           the main thread's join) sleeps forever. *)
+        List.iter
+          (fun seed ->
+            let prep =
+              Nbody.prepare
+                { Nbody.default_params with n_bodies = 1000; steps = 4; seed }
+            in
+            let sys = System.create ~cpus:6 ~kconfig:Kconfig.native () in
+            let job =
+              System.submit sys ~backend:`Topaz_kthreads ~name:"nb"
+                ~cache_capacity:(Nbody.cache_capacity prep ~percent:50)
+                prep.Nbody.program
+            in
+            System.run sys;
+            check Alcotest.bool
+              (Printf.sprintf "seed %d finishes" seed)
+              true (System.finished job))
+          [ 4; 14; 17 ]);
   ]
 
 module Server = Sa_workload.Server
