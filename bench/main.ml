@@ -883,6 +883,38 @@ let uthread_bench =
         (Staged.stage sweep);
     ]
 
+(* One steady-state reallocation pass (Section 4.1) on a 64-CPU machine
+   shared by 24 SA spaces in two priority groups whose total desire
+   exceeds the machine.  After the first pass every space sits at its
+   target, so each run re-sorts, re-waterfills and re-checks every space
+   without moving a processor.  Gated by [micro --check]: a per-space scan
+   of the slot table would make the pass O(spaces x cpus). *)
+let kernel_bench =
+  let module Kernel = Sa_kernel.Kernel in
+  let module Kconfig = Sa_kernel.Kconfig in
+  let sim = Sa_engine.Sim.create () in
+  let machine = Sa_hw.Machine.create sim ~cpus:64 in
+  let k =
+    Kernel.create sim machine Sa_hw.Cost_model.firefly_cvax
+      { Kconfig.default with Kconfig.daemons = false }
+  in
+  for i = 0 to 23 do
+    let sp =
+      Kernel.new_sa_space k
+        ~name:(Printf.sprintf "s%d" i)
+        ~priority:(if i mod 3 = 0 then 1 else 0)
+        ~client:{ Kernel.on_upcall = ignore }
+        ()
+    in
+    Kernel.sa_add_more_processors k sp (2 + (i mod 5))
+  done;
+  Kernel.reallocate_now k;
+  Test.make_grouped ~name:"kernel"
+    [
+      Test.make ~name:"realloc pass 24 spaces x 64 cpus"
+        (Staged.stage (fun () -> Kernel.reallocate_now k));
+    ]
+
 let micro_estimates test =
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
@@ -911,7 +943,14 @@ let run_micro () =
       List.iter
         (fun (name, est) -> Printf.printf "%-44s %14.1f ns/run\n" name est)
         (micro_estimates test))
-    [ paper_tests; simulator_tests; calq_bench; program_bench; uthread_bench ]
+    [
+      paper_tests;
+      simulator_tests;
+      calq_bench;
+      program_bench;
+      uthread_bench;
+      kernel_bench;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Micro regression gate                                               *)
@@ -935,6 +974,7 @@ let micro_gate_estimates () =
   @ micro_estimates calq_bench
   @ micro_estimates program_bench
   @ micro_estimates uthread_bench
+  @ micro_estimates kernel_bench
   |> List.sort compare
 
 let micro_record () =

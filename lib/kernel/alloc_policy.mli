@@ -6,15 +6,46 @@
     the processors in their share, those processors are divided evenly among
     the remainder."
 
-    Extracted from the kernel so the policy itself is property-testable:
-    the kernel feeds it each address space's priority and demand and applies
-    the returned targets mechanically. *)
+    Extracted from the kernel so the policy itself is property-testable.
+    There is one implementation, the in-place {!Waterfill}: the kernel runs
+    it over an array of its own space records on every reallocation pass
+    and applies the targets it writes back mechanically; {!targets} is a
+    list wrapper over the same code. *)
 
 type claim = {
   space : int;  (** address-space id (unique) *)
   priority : int;  (** higher is served first *)
   desired : int;  (** processors the space can use right now *)
 }
+
+(** What the waterfill reads from, and writes back to, one claimant. *)
+module type CLAIMANT = sig
+  type t
+
+
+  val priority : t -> int
+  (** higher is served first *)
+
+  val desired : t -> int
+  (** processors the claimant can use; [>= 0] *)
+
+  val id : t -> int
+  (** unique; breaks ties in the allocation order *)
+
+  val set_target : t -> int -> unit
+end
+
+module Waterfill (C : CLAIMANT) : sig
+  val run : cpus:int -> rotation:int -> C.t array -> int -> unit
+  (** [run ~cpus ~rotation a n] sorts [a.(0) .. a.(n-1)] in place by
+      (priority desc, desired asc, id asc), then calls [C.set_target] once
+      on each with the count {!targets} would give it.  Within a priority
+      group it hands out ceiling shares of what remains, smallest desire
+      first, visiting each run of equal desire rotated left by [rotation].
+      O(n) when the order is unchanged since the previous call, O(n{^ 2})
+      at worst; it allocates nothing.  Ids must be distinct and desires
+      non-negative; unlike {!targets} it does not check. *)
+end
 
 val targets : cpus:int -> rotation:int -> claim list -> (int * int) list
 (** [targets ~cpus ~rotation claims] assigns each claiming space a

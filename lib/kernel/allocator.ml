@@ -1,9 +1,13 @@
 (* The space-sharing processor allocator (Section 4.1).  The policy itself
-   is the pure, property-tested Alloc_policy module; this layer merely
-   feeds it every space's priority and demand, then moves processors:
-   phase 1 reclaims above-target processors (optionally via the
-   Psyche/Symunix warning protocol), phase 2 grants free processors to
-   below-target spaces.  Passes are coalesced behind the late-bound
+   is the pure, property-tested Alloc_policy.Waterfill, which this layer
+   runs in place over [alloc_order], the kernel's scratch array of its own
+   space records, writing each space's share into [sp_target].  Then it
+   moves processors: phase 1 reclaims above-target processors (optionally
+   via the Psyche/Symunix warning protocol), phase 2 grants free processors
+   to below-target spaces.  A pass costs O(spaces + cpus) and allocates
+   nothing: the outstanding warnings per space are the [sp_warned] count
+   that [Ktypes.set_warned] keeps, not a slot scan (docs/INTERNALS.md §3).
+   Passes are coalesced behind the late-bound
    [Ktypes.reevaluate]/[Ktypes.schedule_pass], installed here by
    [install]. *)
 
@@ -16,36 +20,30 @@ module Cost_model = Sa_hw.Cost_model
 
 let set_chaos_realloc_drop t armed = t.chaos_realloc_drop <- armed
 
+module Waterfill = Alloc_policy.Waterfill (struct
+  type t = space
+
+  let priority sp = sp.sp_prio
+  let desired sp = sp.sp_desired
+  let id sp = sp.sp_id
+  let set_target sp v = sp.sp_target <- v
+end)
+
 let compute_targets t =
-  let claims =
-    List.map
-      (fun sp ->
-        {
-          Alloc_policy.space = sp.sp_id;
-          priority = sp.sp_prio;
-          desired = sp.sp_desired;
-        })
-      t.spaces
-  in
-  let targets = Hashtbl.create 8 in
   (* The remainder rotation is a schedule decision: an installed chooser may
      advance it by up to one full cycle, permuting which equal-desire space
      receives the leftover processor this pass. *)
+  let n = t.nspaces in
   let rotation =
-    let n = List.length t.spaces in
     if n >= 2 then
       t.rotation + Sim.pick t.sim ~site:"alloc-rotation" ~arity:n ~default:0
     else t.rotation
   in
-  List.iter
-    (fun (id, v) -> Hashtbl.replace targets id v)
-    (Alloc_policy.targets ~cpus:(ncpus t) ~rotation claims);
-  targets
+  Waterfill.run ~cpus:(ncpus t) ~rotation t.alloc_order n
 
 let preempt_slot_now t sp slot =
   t.st_preemptions <- t.st_preemptions + 1;
   sp.sp_preempted <- sp.sp_preempted + 1;
-  slot.slot_warned <- false;
   tracef t "allocator: preempt cpu%d from %s" (Cpu.id slot.slot_cpu)
     sp.sp_name;
   trace_instant t ~cpu:(Cpu.id slot.slot_cpu) ~space:sp.sp_id Trace.Kernel
@@ -54,8 +52,7 @@ let preempt_slot_now t sp slot =
   | Sa s ->
       let events = Sa_upcall.stop_activation_on t slot in
       s.pending <- List.rev_append events s.pending;
-      slot.slot_owner <- None;
-      set_assigned t sp (sp.sp_assigned - 1);
+      release_slot t slot sp;
       (* Tell the old space, on another of its processors — or with its
          next grant if it has none left (the paper delays it too).  The
          notification resolves [sp_home] at fire time: a migrating space's
@@ -73,8 +70,7 @@ let preempt_slot_now t sp slot =
       | None -> ());
       cancel_quantum t slot;
       slot.slot_kt <- None;
-      slot.slot_owner <- None;
-      set_assigned t sp (sp.sp_assigned - 1)
+      release_slot t slot sp
 
 (* Chaos: forcibly preempt whatever holds [cpu], exactly as the allocator
    or a native wakeup interrupt would, at an adversarial instant.  Explicit
@@ -122,37 +118,34 @@ let set_space_priority t sp prio =
     if t.cfg.Kconfig.mode = Kconfig.Explicit_allocation then reevaluate t
   end
 
-let warned_count t sp =
-  Array.fold_left
-    (fun n slot -> if slot_owned_by slot sp && slot.slot_warned then n + 1 else n)
-    0 t.slots
+(* The highest-numbered processor [sp] owns without a warning, or -1. *)
+let rec last_unwarned t sp i =
+  if i < 0 then -1
+  else
+    let slot = t.slots.(i) in
+    if slot_owned_by slot sp && not slot.slot_warned then i
+    else last_unwarned t sp (i - 1)
 
 let preempt_cpu_from t sp =
-  let slot_opt =
-    Array.fold_left
-      (fun acc slot ->
-        if slot_owned_by slot sp && not slot.slot_warned then Some slot
-        else acc)
-      None t.slots
-  in
-  match slot_opt with
-  | None -> ()
-  | Some slot -> (
-      match (sp.sp_kind, t.cfg.Kconfig.preempt_warning) with
-      | Sa _, Some grace ->
-          (* Psyche/Symunix protocol: warn and wait; force at the
-             deadline.  The claimant's grant is delayed for the duration —
-             the priority violation Section 6 describes. *)
-          slot.slot_warned <- true;
-          tracef t "allocator: warn %s on cpu%d (grace %a)" sp.sp_name
-            (Cpu.id slot.slot_cpu) Time.pp_span grace;
-          ignore
-            (Sim.schedule_after t.sim ~delay:grace (fun () ->
-                 if slot_owned_by slot sp && slot.slot_warned then begin
-                   preempt_slot_now t sp slot;
-                   reevaluate t
-                 end))
-      | (Sa _ | Kthreads _), _ -> preempt_slot_now t sp slot)
+  let i = last_unwarned t sp (Array.length t.slots - 1) in
+  if i >= 0 then begin
+    let slot = t.slots.(i) in
+    match (sp.sp_kind, t.cfg.Kconfig.preempt_warning) with
+    | Sa _, Some grace ->
+        (* Psyche/Symunix protocol: warn and wait; force at the
+           deadline.  The claimant's grant is delayed for the duration —
+           the priority violation Section 6 describes. *)
+        set_warned slot sp true;
+        tracef t "allocator: warn %s on cpu%d (grace %a)" sp.sp_name
+          (Cpu.id slot.slot_cpu) Time.pp_span grace;
+        ignore
+          (Sim.schedule_after t.sim ~delay:grace (fun () ->
+               if slot_owned_by slot sp && slot.slot_warned then begin
+                 preempt_slot_now t sp slot;
+                 reevaluate t
+               end))
+    | (Sa _ | Kthreads _), _ -> preempt_slot_now t sp slot
+  end
 
 let grant_cpu_to t slot sp =
   slot.slot_owner <- Some sp;
@@ -172,63 +165,51 @@ let grant_cpu_to t slot sp =
 
 let do_reallocate t =
   if t.cfg.Kconfig.mode = Kconfig.Explicit_allocation then begin
-    let targets = compute_targets t in
-    let target sp =
-      match Hashtbl.find_opt targets sp.sp_id with Some v -> v | None -> 0
-    in
+    compute_targets t;
     let moved = ref 0 in
-    (* Phase 1: reclaim above-target processors.  Outstanding warnings
-       count as reclaims in flight. *)
-    List.iter
-      (fun sp ->
-        let over () = sp.sp_assigned - warned_count t sp > target sp in
-        let in_flight = ref (warned_count t sp) in
-        while over () && !in_flight < sp.sp_assigned do
-          preempt_cpu_from t sp;
-          incr in_flight;
-          incr moved
-        done)
-      t.spaces;
+    (* Phase 1: reclaim above-target processors, newest space first.
+       Outstanding warnings count as reclaims in flight. *)
+    for i = t.nspaces - 1 downto 0 do
+      let sp = t.spaces.(i) in
+      let in_flight = ref sp.sp_warned in
+      while
+        sp.sp_assigned - sp.sp_warned > sp.sp_target
+        && !in_flight < sp.sp_assigned
+      do
+        preempt_cpu_from t sp;
+        incr in_flight;
+        incr moved
+      done
+    done;
     (* Phase 2: grant free processors to below-target spaces, oldest space
-       first for determinism.  An allocation-free cursor over the slot
-       table in cpu-id order replaces the former per-pass List.filter
-       snapshot: granting only mutates the granted slot synchronously
+       first for determinism, from one cursor over the slot table in cpu-id
+       order.  Granting only mutates the granted slot synchronously
        (begin_work schedules its completion, it does not run it), so a
-       lazily re-checked scan sees exactly the slots the snapshot held. *)
+       slot the cursor has passed stays unavailable for the rest of the
+       pass. *)
     let cursor = ref 0 in
-    let next_free () =
-      let n = Array.length t.slots in
-      let rec scan () =
-        if !cursor >= n then None
-        else
-          let slot = t.slots.(!cursor) in
-          incr cursor;
-          if slot.slot_owner = None && not (Cpu.is_busy slot.slot_cpu) then
-            Some slot
-          else scan ()
-      in
-      scan ()
-    in
-    List.iter
-      (fun sp ->
-        let rec fill () =
-          if sp.sp_assigned < target sp then
-            match next_free () with
-            | None -> ()
-            | Some slot ->
-                grant_cpu_to t slot sp;
-                incr moved;
-                fill ()
-        in
-        fill ())
-      (List.rev t.spaces);
+    let nslots = Array.length t.slots in
+    for i = 0 to t.nspaces - 1 do
+      let sp = t.spaces.(i) in
+      while sp.sp_assigned < sp.sp_target && !cursor < nslots do
+        let slot = t.slots.(!cursor) in
+        incr cursor;
+        match slot.slot_owner with
+        | None when not (Cpu.is_busy slot.slot_cpu) ->
+            grant_cpu_to t slot sp;
+            incr moved
+        | None | Some _ -> ()
+      done
+    done;
     if !moved > 0 then t.st_reallocations <- t.st_reallocations + 1;
     (* Rotate an uneven remainder after a quantum (Section 4.1). *)
     if t.cfg.Kconfig.rotate_remainder && t.rotation_timer = None then begin
-      let contested =
-        List.exists (fun sp -> sp.sp_desired > target sp) t.spaces
-      in
-      if contested then
+      let contested = ref false in
+      for i = 0 to t.nspaces - 1 do
+        let sp = t.spaces.(i) in
+        if sp.sp_desired > sp.sp_target then contested := true
+      done;
+      if !contested then
         t.rotation_timer <-
           Some
             (Sim.schedule_after t.sim ~delay:t.costs.Cost_model.time_slice
@@ -239,6 +220,26 @@ let do_reallocate t =
     end
   end
 
+(* Build a kernel's deferred pass closures once, so a coalesced request
+   schedules a preallocated closure instead of a fresh one.  Kernel.create
+   calls it before any space or kthread exists. *)
+let bind t =
+  t.realloc_pass <-
+    (fun () ->
+      t.realloc_pending <- false;
+      if t.chaos_realloc_drop then begin
+        (* A lost reallocation request: demand raised before this pass
+           stays unserved until some later event re-triggers the
+           allocator. *)
+        t.chaos_realloc_drop <- false;
+        tracef t "chaos: reallocation pass dropped"
+      end
+      else do_reallocate t);
+  t.sched_pass <-
+    (fun () ->
+      t.sched_pass_pending <- false;
+      Kt_sched.do_schedule_pass t)
+
 (* Install the coalesced allocator entry points behind the late-bound refs.
    Idempotent; Kernel.create calls it before any space or kthread exists. *)
 let install () =
@@ -246,22 +247,11 @@ let install () =
      fun t ->
        if not t.realloc_pending then begin
          t.realloc_pending <- true;
-         defer t (fun () ->
-             t.realloc_pending <- false;
-             if t.chaos_realloc_drop then begin
-               (* A lost reallocation request: demand raised before this
-                  pass stays unserved until some later event re-triggers
-                  the allocator. *)
-               t.chaos_realloc_drop <- false;
-               tracef t "chaos: reallocation pass dropped"
-             end
-             else do_reallocate t)
+         defer t t.realloc_pass
        end);
   schedule_pass_ref :=
     fun t ->
       if not t.sched_pass_pending then begin
         t.sched_pass_pending <- true;
-        defer t (fun () ->
-            t.sched_pass_pending <- false;
-            Kt_sched.do_schedule_pass t)
+        defer t t.sched_pass
       end

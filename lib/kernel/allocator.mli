@@ -1,7 +1,7 @@
-(** The space-sharing processor allocator (Section 4.1): drives the pure
-    {!Alloc_policy} over every space's priority and demand, reclaims
-    above-target processors (optionally through the Psyche/Symunix warning
-    protocol) and grants free ones below-target, with the remainder
+(** The space-sharing processor allocator (Section 4.1): runs the pure
+    {!Alloc_policy.Waterfill} in place over the kernel's space records,
+    reclaims above-target processors (optionally through the Psyche/Symunix
+    warning protocol) and grants free ones below-target, with the remainder
     rotation of Section 4.1.  Passes are coalesced behind the late-bound
     {!Ktypes.reevaluate}/{!Ktypes.schedule_pass} entry points, which
     {!install} fills in. *)
@@ -12,6 +12,11 @@ val install : unit -> unit
 (** Bind {!Ktypes.reevaluate_ref} and {!Ktypes.schedule_pass_ref} to the
     coalesced reallocation / native dispatch passes.  Idempotent;
     [Kernel.create] calls it before any space exists. *)
+
+val bind : t -> unit
+(** Build [t]'s deferred reallocation and native-dispatch pass closures
+    ([realloc_pass], [sched_pass]) once, so requesting a pass allocates
+    nothing.  [Kernel.create] calls it. *)
 
 val set_chaos_realloc_drop : t -> bool -> unit
 (** Arm (or disarm) the injector's lost-reallocation fault: the next
@@ -28,3 +33,5 @@ val preempt_slot_now : t -> space -> slot -> unit
     reallocation pass and by cluster migration ([Kernel.detach_space]). *)
 
 val do_reallocate : t -> unit
+(** One reallocation pass: O(spaces + cpus) with no allocation, plus the
+    cost of whatever processors it actually moves. *)

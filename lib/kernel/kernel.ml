@@ -83,6 +83,7 @@ let chaos_spurious_completion = Io_path.chaos_spurious_completion
 let set_chaos_realloc_drop = Allocator.set_chaos_realloc_drop
 let chaos_preempt = Allocator.chaos_preempt
 let set_space_priority = Allocator.set_space_priority
+let reallocate_now = Allocator.do_reallocate
 
 (* ------------------------------------------------------------------ *)
 (* Spaces & creation                                                   *)
@@ -101,6 +102,8 @@ let new_kthread_space t ~name ?(priority = 0) () =
       sp_upcalls = 0;
       sp_granted = 0;
       sp_preempted = 0;
+      sp_warned = 0;
+      sp_target = 0;
       sp_manager_swapped = false;
       sp_alloc_track =
         Some (Sa_engine.Stats.Weighted.create ~at:(Sim.now t.sim) ~level:0.0);
@@ -132,6 +135,8 @@ let new_sa_space t ~name ?(priority = 0) ~client () =
       sp_upcalls = 0;
       sp_granted = 0;
       sp_preempted = 0;
+      sp_warned = 0;
+      sp_target = 0;
       sp_manager_swapped = false;
       sp_alloc_track =
         Some (Sa_engine.Stats.Weighted.create ~at:(Sim.now t.sim) ~level:0.0);
@@ -193,12 +198,16 @@ let create ?ids sim machine costs cfg =
       kt_running_n = 0;
       kt_blocked_n = 0;
       kt_dead_n = 0;
-      spaces = [];
+      spaces = [||];
+      nspaces = 0;
+      alloc_order = [||];
       spaces_by_id = Hashtbl.create 16;
       runqs = [];
       ids = (match ids with Some r -> r | None -> ref 0);
       realloc_pending = false;
       sched_pass_pending = false;
+      realloc_pass = ignore;
+      sched_pass = ignore;
       rotation = 0;
       rotation_timer = None;
       st_upcalls = 0;
@@ -220,6 +229,7 @@ let create ?ids sim machine costs cfg =
       debug_frozen = Hashtbl.create 8;
     }
   in
+  Allocator.bind t;
   (* Expose the kernel's own draws (native-mode random wakeups) as choice
      points; with no chooser installed the hook is an identity. *)
   Rng.interpose t.rng
@@ -322,13 +332,26 @@ let free_cpus t =
     0 t.slots
 
 let check_invariants t =
-  List.iter
+  iter_spaces t
     (fun sp ->
       let owned =
         Array.fold_left
           (fun n slot -> if slot_owned_by slot sp then n + 1 else n)
           0 t.slots
       in
+      (* The O(1) warned count the allocator reads must agree with the
+         slots it summarises — a write that bypassed set_warned, or a
+         release that kept its warning, shows up here. *)
+      let warned =
+        Array.fold_left
+          (fun n slot ->
+            if slot_owned_by slot sp && slot.slot_warned then n + 1 else n)
+          0 t.slots
+      in
+      if warned <> sp.sp_warned then
+        failwith
+          (Printf.sprintf "invariant: %s has %d warned cpus but sp_warned=%d"
+             sp.sp_name warned sp.sp_warned);
       if t.cfg.Kconfig.mode = Kconfig.Explicit_allocation then begin
         if owned <> sp.sp_assigned then
           failwith
@@ -343,10 +366,13 @@ let check_invariants t =
                    "invariant: %s has %d running activations, %d processors"
                    sp.sp_name s.running_acts sp.sp_assigned)
         | Kthreads _ -> ()
-      end)
-    t.spaces;
+      end);
   Array.iter
     (fun slot ->
+      if slot.slot_warned && slot.slot_owner = None then
+        failwith
+          (Printf.sprintf "invariant: unowned cpu%d carries a warning"
+             (Cpu.id slot.slot_cpu));
       match slot.slot_act with
       | Some act -> (
           (match slot.slot_owner with
@@ -387,7 +413,7 @@ let check_invariants t =
      truth in the activation table, and the recycle pool must hold only
      free, distinct activations — a double-free or lost context shows up
      here no matter which path corrupted it. *)
-  List.iter
+  iter_spaces t
     (fun sp ->
       match sp.sp_kind with
       | Sa s ->
@@ -426,8 +452,7 @@ let check_invariants t =
                   (Printf.sprintf "invariant: act%d pooled twice" act.act_id);
               Hashtbl.replace seen act.act_id ())
             s.pool
-      | Kthreads _ -> ())
-    t.spaces;
+      | Kthreads _ -> ());
   (* Every running activation must sit on the slot it claims. *)
   Hashtbl.iter
     (fun _ act ->

@@ -271,6 +271,12 @@ val set_space_priority : t -> space -> int -> unit
 (** Change a space's allocation priority (higher wins).  In explicit mode
     the allocator re-runs; used by the chaos injector to flap priorities. *)
 
+val reallocate_now : t -> unit
+(** Run one explicit-mode reallocation pass synchronously, bypassing the
+    coalescing of requests.  O(spaces + cpus) and allocation-free, plus the
+    cost of the processors it moves; the [kernel/realloc pass] micro
+    benchmark times it. *)
+
 val free_cpus : t -> int
 (** Processors currently owned by no space (explicit mode). *)
 

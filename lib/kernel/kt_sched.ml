@@ -171,8 +171,7 @@ let kt_cpu_released t slot =
           | Some kt -> dispatch_kt_on t slot kt
           | None ->
               (* No local work: return the processor to the allocator. *)
-              slot.slot_owner <- None;
-              set_assigned t sp (sp.sp_assigned - 1);
+              release_slot t slot sp;
               Cpu.set_occupant slot.slot_cpu Cpu.Kernel_idle;
               reevaluate t)
       | Some { sp_kind = Sa _; _ } | None -> reevaluate t)

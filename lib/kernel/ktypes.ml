@@ -116,6 +116,11 @@ and space = {
   mutable sp_upcalls : int;
   mutable sp_granted : int;  (* processors granted by the allocator *)
   mutable sp_preempted : int;  (* processors reclaimed by the allocator *)
+  mutable sp_warned : int;
+      (* owned slots with [slot_warned] set, maintained by [set_warned] so
+         the allocator reads it in O(1) *)
+  mutable sp_target : int;
+      (* processors the last reallocation pass assigned this space *)
   mutable sp_manager_swapped : bool;
       (* Section 3.1: the pages holding the user-level thread manager may
          themselves be paged out; the next upcall must first fault them in
@@ -152,8 +157,9 @@ and slot = {
   mutable slot_gen : int;
   mutable slot_warned : bool;
       (* a Psyche/Symunix-style preemption warning is outstanding on this
-         processor (Kconfig.preempt_warning); cleared on voluntary release
-         or at the forced deadline *)
+         processor (Kconfig.preempt_warning).  Written only by [set_warned];
+         [release_slot] clears it, so a warning never outlives the owner it
+         was issued to *)
 }
 
 and t = {
@@ -171,7 +177,13 @@ and t = {
   mutable kt_dead_n : int;
       (* per-state census maintained by [set_kt_state]; dumps and invariant
          audits read these instead of filtering a thread list *)
-  mutable spaces : space list;  (* newest first; allocator pass order *)
+  mutable spaces : space array;
+      (* oldest first; the first [nspaces] entries are live.  Phase 1 of a
+         reallocation pass walks it newest first, phase 2 oldest first *)
+  mutable nspaces : int;
+  mutable alloc_order : space array;
+      (* the same spaces in the waterfill's sort order: scratch that each
+         pass re-sorts in place, so it stays nearly sorted between passes *)
   spaces_by_id : (int, space) Hashtbl.t;
       (* removed only by cluster migration ([Kernel.detach_space]) *)
   mutable runqs : (int * kthread Queue.t) list;  (* native: prio desc *)
@@ -182,6 +194,10 @@ and t = {
          client tables remain valid across space migration *)
   mutable realloc_pending : bool;
   mutable sched_pass_pending : bool;
+  mutable realloc_pass : unit -> unit;
+  mutable sched_pass : unit -> unit;
+      (* the deferred pass closures, built once per kernel by
+         [Allocator.bind] so requesting a pass allocates nothing *)
   mutable rotation : int;
   mutable rotation_timer : Sim.handle option;
   mutable st_upcalls : int;
@@ -245,6 +261,21 @@ let set_assigned t sp v =
 let slot_owned_by slot sp =
   match slot.slot_owner with Some o -> same_space o sp | None -> false
 
+(* All slot_warned changes go through here so the owner's [sp_warned]
+   count stays exact.  [sp] must own [slot]. *)
+let set_warned slot sp w =
+  if slot.slot_warned <> w then begin
+    slot.slot_warned <- w;
+    sp.sp_warned <- (if w then sp.sp_warned + 1 else sp.sp_warned - 1)
+  end
+
+(* Every path that takes a processor away from its owner ends here: the
+   warning goes with the owner, not with the processor. *)
+let release_slot t slot sp =
+  set_warned slot sp false;
+  slot.slot_owner <- None;
+  set_assigned t sp (sp.sp_assigned - 1)
+
 let fresh_id t =
   incr t.ids;
   !(t.ids)
@@ -307,15 +338,44 @@ let register_kthread t kt =
 let kthread_count t = Hashtbl.length t.kthreads
 
 let register_space t sp =
-  t.spaces <- sp :: t.spaces;
+  let n = t.nspaces in
+  if n = Array.length t.spaces then begin
+    let grow a =
+      let b = Array.make (max 8 (2 * n)) sp in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.spaces <- grow t.spaces;
+    t.alloc_order <- grow t.alloc_order
+  end;
+  t.spaces.(n) <- sp;
+  t.alloc_order.(n) <- sp;
+  t.nspaces <- n + 1;
   Hashtbl.replace t.spaces_by_id sp.sp_id sp
 
 (* Cluster migration only: pull a space out of this kernel's books.  The
    space record itself stays live — it is about to be re-registered on a
    peer kernel. *)
 let unregister_space t sp =
-  t.spaces <- List.filter (fun s -> not (same_space s sp)) t.spaces;
+  let n = t.nspaces in
+  let remove a =
+    let j = ref 0 in
+    for i = 0 to n - 1 do
+      if not (same_space a.(i) sp) then begin
+        a.(!j) <- a.(i);
+        incr j
+      end
+    done;
+    !j
+  in
+  t.nspaces <- remove t.spaces;
+  ignore (remove t.alloc_order);
   Hashtbl.remove t.spaces_by_id sp.sp_id
+
+let iter_spaces t f =
+  for i = 0 to t.nspaces - 1 do
+    f t.spaces.(i)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Slot helpers                                                        *)

@@ -86,6 +86,10 @@ and space = {
   mutable sp_upcalls : int;
   mutable sp_granted : int;  (** processors granted by the allocator *)
   mutable sp_preempted : int;  (** processors reclaimed by the allocator *)
+  mutable sp_warned : int;
+      (** owned slots with [slot_warned] set; maintained by {!set_warned} *)
+  mutable sp_target : int;
+      (** processors the last reallocation pass assigned this space *)
   mutable sp_manager_swapped : bool;
   mutable sp_alloc_track : Sa_engine.Stats.Weighted.t option;
 }
@@ -125,7 +129,11 @@ and t = {
   mutable kt_running_n : int;
   mutable kt_blocked_n : int;
   mutable kt_dead_n : int;
-  mutable spaces : space list;
+  mutable spaces : space array;
+      (** oldest first; the first [nspaces] entries are live *)
+  mutable nspaces : int;
+  mutable alloc_order : space array;
+      (** the live spaces again, in the allocator's waterfill order *)
   spaces_by_id : (int, space) Hashtbl.t;
   mutable runqs : (int * kthread Queue.t) list;
   ids : int ref;
@@ -133,6 +141,8 @@ and t = {
           ids stay globally unique under migration *)
   mutable realloc_pending : bool;
   mutable sched_pass_pending : bool;
+  mutable realloc_pass : unit -> unit;
+  mutable sched_pass : unit -> unit;
   mutable rotation : int;
   mutable rotation_timer : Sim.handle option;
   mutable st_upcalls : int;
@@ -180,6 +190,17 @@ val set_assigned : t -> space -> int -> unit
     and the trace counter stay consistent. *)
 
 val slot_owned_by : slot -> space -> bool
+
+val set_warned : slot -> space -> bool -> unit
+(** All [slot_warned] changes go through here so the owner's [sp_warned]
+    count stays exact; [space] must own [slot]. *)
+
+val release_slot : t -> slot -> space -> unit
+(** Take [slot] from its owner [space]: clear any outstanding warning,
+    unset [slot_owner] and decrement [sp_assigned].  Every release path
+    (preemption, idle, warning response, kthread exit) uses this, so a
+    warning never passes to the processor's next owner. *)
+
 val fresh_id : t -> int
 
 val set_kt_state : t -> kthread -> kt_state -> unit
@@ -192,12 +213,16 @@ val register_kthread : t -> kthread -> unit
 val kthread_count : t -> int
 
 val register_space : t -> space -> unit
-(** Prepend to [spaces] (newest first — the allocator's pass order) and
-    index by id for O(1) [find_space]. *)
+(** Append to [spaces] and [alloc_order] (growing both when full) and index
+    by id for O(1) [find_space]. *)
 
 val unregister_space : t -> space -> unit
-(** Cluster migration only: remove the space from [spaces] and the id
-    index.  The record stays live for re-registration on a peer kernel. *)
+(** Cluster migration only: remove the space from [spaces], [alloc_order]
+    and the id index.  The record stays live for re-registration on a peer
+    kernel. *)
+
+val iter_spaces : t -> (space -> unit) -> unit
+(** The live spaces, oldest first. *)
 
 (** {1 Tracing} *)
 

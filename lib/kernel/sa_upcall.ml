@@ -321,8 +321,7 @@ let sa_cpu_idle t act =
       if t.cfg.Kconfig.activation_pooling then s.pool <- act :: s.pool;
       s.running_acts <- s.running_acts - 1;
       slot.slot_act <- None;
-      slot.slot_owner <- None;
-      set_assigned t sp (sp.sp_assigned - 1);
+      release_slot t slot sp;
       sp.sp_desired <- min sp.sp_desired sp.sp_assigned;
       Cpu.set_occupant slot.slot_cpu Cpu.Kernel_idle;
       tracef t "%s returns cpu%d (idle)" sp.sp_name cpu_id;
@@ -346,14 +345,12 @@ let sa_respond_warning t act =
       let s = sa_fields sp in
       trace_downcall t ~cpu:cpu_id ~space:sp.sp_id ~act:act.act_id
         "respond-warning";
-      slot.slot_warned <- false;
       act.act_state <- A_free;
       act.act_repair <- None;
       if t.cfg.Kconfig.activation_pooling then s.pool <- act :: s.pool;
       s.running_acts <- s.running_acts - 1;
       slot.slot_act <- None;
-      slot.slot_owner <- None;
-      set_assigned t sp (sp.sp_assigned - 1);
+      release_slot t slot sp;
       Cpu.set_occupant slot.slot_cpu Cpu.Kernel_idle;
       tracef t "%s responds to warning, releases cpu%d" sp.sp_name cpu_id;
       reevaluate t

@@ -208,6 +208,69 @@ let test_audits_ran () =
   let injected k = List.assoc k r.Campaign.injected in
   Alcotest.(check bool) "preemptions injected" true (injected "preempt" > 0)
 
+(* The campaign machinery under the Psyche/Symunix warning protocol: the
+   periodic audit re-derives every space's [sp_warned] count from the slot
+   table while forced preemptions, priority flaps and daemon storms move
+   processors between two SA spaces of different priority. *)
+let test_campaign_warning () =
+  let module System = Sa.System in
+  let module Program = Sa_program.Program in
+  let module B = Program.Build in
+  let job ~threads =
+    let m = Program.Mutex.create ~name:"warn-mutex" () in
+    let worker =
+      B.to_program
+        B.(
+          repeat 20 (fun _ ->
+              let* () = compute (Time.us 150) in
+              let* () = critical m (compute (Time.us 30)) in
+              yield))
+    in
+    let rec fork_all n acc =
+      if n = 0 then B.return acc
+      else B.( let* ) (B.fork worker) (fun tid -> fork_all (n - 1) (tid :: acc))
+    in
+    B.to_program B.(let* tids = fork_all threads [] in iter_list tids join)
+  in
+  List.iter
+    (fun seed ->
+      let kconfig =
+        {
+          Kconfig.default with
+          Kconfig.seed;
+          preempt_warning = Some (Time.us 300);
+        }
+      in
+      let sys = System.create ~cpus:3 ~kconfig () in
+      let warnings = ref 0 in
+      Sa_engine.Trace.add_sink (Sim.trace (System.sim sys)) (fun r ->
+          if
+            String.starts_with ~prefix:"allocator: warn "
+              (Sa_engine.Trace.render_message r)
+          then incr warnings);
+      let low =
+        System.submit sys ~backend:`Fastthreads_on_sa ~name:"low"
+          (job ~threads:4)
+      in
+      let checker =
+        Sa_fault.Invariant.attach ~label:"warning" ~seed sys
+      in
+      let injector = Injector.attach ~seed sys in
+      System.run_span sys (Time.ms 2);
+      let high =
+        System.submit sys ~backend:`Fastthreads_on_sa ~name:"high"
+          ~space_priority:1 (job ~threads:2)
+      in
+      System.run ~horizon:(Time.s 5) sys;
+      Alcotest.(check bool) "both jobs finish" true
+        (System.finished low && System.finished high);
+      Alcotest.(check bool) "auditor ran" true
+        (Sa_fault.Invariant.audits checker > 0);
+      Alcotest.(check bool) "preemptions injected" true
+        (List.assoc "preempt" (Injector.injected injector) > 0);
+      Alcotest.(check bool) "warnings issued" true (!warnings > 0))
+    [ 11; 12; 13 ]
+
 let () =
   Alcotest.run "fault"
     [
@@ -237,5 +300,7 @@ let () =
             test_campaign_deterministic;
           Alcotest.test_case "audits and injections actually happen" `Quick
             test_audits_ran;
+          Alcotest.test_case "warned-slot counts hold under injection" `Quick
+            test_campaign_warning;
         ] );
     ]

@@ -400,6 +400,70 @@ let explicit_tests =
         check Alcotest.int "all four ran" 4 !done_count;
         check Alcotest.int "processors returned" 2 (Kernel.free_cpus k);
         Kernel.check_invariants k);
+    Alcotest.test_case "a preemption warning does not outlive its owner"
+      `Quick (fun () ->
+        (* The incumbent holds both processors; a priority-5 claimant makes
+           the allocator warn one of them.  The incumbent idles the warned
+           processor (its 500 us thread is done) instead of responding, and
+           the processor goes to the claimant.  The claimant was never
+           warned, so it must never answer a warning. *)
+        let module System = Sa.System in
+        let module B = Sa_program.Program.Build in
+        let kconfig =
+          {
+            Kconfig.default with
+            Kconfig.preempt_warning = Some (Time.ms 20);
+            daemons = false;
+          }
+        in
+        let sys = System.create ~cpus:2 ~kconfig () in
+        let k = System.kernel sys in
+        (* ids of the spaces that answered a warning; the allocator's
+           "warn" messages *)
+        let responders = ref [] and warned = ref [] in
+        Sa_engine.Trace.add_sink (Sim.trace (System.sim sys)) (fun r ->
+            let msg = Sa_engine.Trace.render_message r in
+            if r.Sa_engine.Trace.name = "downcall:respond-warning" then
+              responders := r.Sa_engine.Trace.space :: !responders
+            else if String.starts_with ~prefix:"allocator: warn " msg then
+              warned := msg :: !warned);
+        let incumbent =
+          B.to_program
+            B.(
+              let* t1 = fork (B.to_program (compute (Time.us 500))) in
+              let* t2 = fork (B.to_program (compute (Time.ms 30))) in
+              let* () = join t1 in
+              join t2)
+        in
+        let claimant =
+          B.to_program
+            B.(
+              repeat 30 (fun _ ->
+                  let* () = compute (Time.ms 1) in
+                  yield))
+        in
+        let _inc =
+          System.submit sys ~backend:`Fastthreads_on_sa ~name:"incumbent"
+            incumbent
+        in
+        System.run_span sys (Time.ms 4);
+        let cl =
+          System.submit sys ~backend:`Fastthreads_on_sa ~name:"claimant"
+            ~space_priority:5 claimant
+        in
+        System.run sys;
+        check Alcotest.bool "claimant finished" true (System.finished cl);
+        check Alcotest.bool "the incumbent was warned" true
+          (List.exists
+             (String.starts_with ~prefix:"allocator: warn incumbent")
+             !warned);
+        check Alcotest.bool "only the incumbent was warned" true
+          (List.for_all
+             (String.starts_with ~prefix:"allocator: warn incumbent")
+             !warned);
+        check Alcotest.bool "the claimant never answers a warning" false
+          (List.mem (Kernel.space_id (System.space cl)) !responders);
+        Kernel.check_invariants k);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -533,14 +597,15 @@ let claims_gen =
     sized_size (int_range 1 6) (fun n ->
         flatten_l (List.init n claim)))
 
-let claims_arb =
-  QCheck.make claims_gen ~print:(fun cs ->
-      String.concat ";"
-        (List.map
-           (fun c ->
-             Printf.sprintf "(id=%d,p=%d,d=%d)" c.Alloc_policy.space
-               c.Alloc_policy.priority c.Alloc_policy.desired)
-           cs))
+let print_claims cs =
+  String.concat ";"
+    (List.map
+       (fun c ->
+         Printf.sprintf "(id=%d,p=%d,d=%d)" c.Alloc_policy.space
+           c.Alloc_policy.priority c.Alloc_policy.desired)
+       cs)
+
+let claims_arb = QCheck.make claims_gen ~print:print_claims
 
 let with_targets cpus rotation claims f =
   let tg = Alloc_policy.targets ~cpus ~rotation claims in
@@ -644,6 +709,41 @@ let prop_rotation_is_fair =
       let mx = Array.fold_left max min_int totals in
       mx - mn <= 4 (* each space gets the remainder equally often *))
 
+(* The in-place waterfill against the list-based reference oracle
+   (test/alloc_oracle.ml): runs of repeated desires, several priority
+   groups, zero desires, distinct ids out of input order, every rotation
+   phase up to 3n, and machines both smaller and larger than the total
+   desire. *)
+let oracle_case_gen =
+  QCheck.Gen.(
+    int_range 1 12 >>= fun n ->
+    let desired =
+      frequency [ (1, return 0); (3, int_range 1 4); (1, int_range 5 12) ]
+    in
+    list_repeat n (pair (int_range 0 3) desired) >>= fun pds ->
+    shuffle_l (List.init n (fun i -> (i * 7) + 3)) >>= fun ids ->
+    let claims =
+      List.map2
+        (fun id (priority, desired) ->
+          { Alloc_policy.space = id; priority; desired })
+        ids pds
+    in
+    let total =
+      List.fold_left (fun a c -> a + c.Alloc_policy.desired) 0 claims
+    in
+    oneof [ int_range 0 total; int_range total (total + 8) ] >>= fun cpus ->
+    int_range 0 (3 * n) >|= fun rotation -> (cpus, rotation, claims))
+
+let prop_matches_oracle =
+  QCheck.Test.make ~name:"in-place waterfill matches the list oracle"
+    ~count:2000
+    (QCheck.make oracle_case_gen ~print:(fun (cpus, rotation, claims) ->
+         Printf.sprintf "cpus=%d rotation=%d %s" cpus rotation
+           (print_claims claims)))
+    (fun (cpus, rotation, claims) ->
+      List.sort compare (Alloc_policy.targets ~cpus ~rotation claims)
+      = List.sort compare (Alloc_oracle.targets ~cpus ~rotation claims))
+
 let policy_unit_tests =
   [
     Alcotest.test_case "even split of 6 between two hungry spaces" `Quick
@@ -693,6 +793,7 @@ let policy_unit_tests =
     qtest prop_priority_dominance;
     qtest prop_even_division;
     qtest prop_rotation_is_fair;
+    qtest prop_matches_oracle;
   ]
 
 let () =
