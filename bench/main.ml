@@ -688,21 +688,12 @@ let paper_tests =
     ]
 
 let simulator_tests =
-  let module Pqueue = Sa_engine.Pqueue in
   let module Sim = Sa_engine.Sim in
   let module Time = Sa_engine.Time in
   let module Cpu = Sa_hw.Cpu in
   let module Buffer_cache = Sa_hw.Buffer_cache in
   Test.make_grouped ~name:"simulator"
     [
-      Test.make ~name:"pqueue add+pop x1000"
-        (Staged.stage (fun () ->
-             let q = Pqueue.create () in
-             for i = 0 to 999 do
-               ignore (Pqueue.add q ~key:(i * 7919 mod 1000) ~seq:i i)
-             done;
-             let rec drain () = match Pqueue.pop q with Some _ -> drain () | None -> () in
-             drain ()));
       Test.make ~name:"sim event cascade x1000"
         (Staged.stage (fun () ->
              let sim = Sim.create () in
@@ -1068,13 +1059,7 @@ let () =
     };
   let args = List.tl (Array.to_list Sys.argv) in
   let json = List.mem "--json" args in
-  (* Escape hatch for A/B measurement and the record->replay cross-check:
-     force the reference CPS interpreter everywhere. *)
-  if List.mem "--no-compile" args then
-    Sa_uthread.Ft_core.compiled_enabled := false;
-  let args =
-    List.filter (fun a -> a <> "--json" && a <> "--no-compile") args
-  in
+  let args = List.filter (fun a -> a <> "--json") args in
   if json then begin
     match args with
     | [ "scale" ] -> print_scale_json (run_scale ())

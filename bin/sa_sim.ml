@@ -1035,17 +1035,6 @@ let explore_cmd =
             "Re-drive the run recorded in $(docv) (strict mode) and check \
              its digest instead of searching.")
   in
-  let no_compile_arg =
-    Arg.(
-      value & flag
-      & info [ "no-compile" ]
-          ~doc:
-            "Execute thread programs through the reference CPS interpreter \
-             instead of the compiled flat representation.  Recording a \
-             baseline with this flag and replaying it without it \
-             cross-checks that both interpreters drive the identical \
-             schedule (the replay digest must match the recorded one).")
-  in
   let shrink_arg =
     Arg.(
       value & flag
@@ -1244,9 +1233,7 @@ let explore_cmd =
         end
   in
   let action workload schedules strategy depth seed cpus requests horizon_ms
-      no_inject inject_kinds drop_gap replay_file do_shrink out save
-      no_compile =
-    if no_compile then Sa_uthread.Ft_core.compiled_enabled := false;
+      no_inject inject_kinds drop_gap replay_file do_shrink out save =
     match replay_file with
     | Some file -> do_replay file
     | None ->
@@ -1287,7 +1274,7 @@ let explore_cmd =
       const action $ workload_arg $ schedules_arg $ strategy_arg $ depth_arg
       $ seed_arg $ cpus_arg $ requests_arg $ horizon_arg $ no_inject_arg
       $ inject_kinds_arg $ drop_gap_arg $ replay_arg $ shrink_arg $ out_arg
-      $ save_arg $ no_compile_arg)
+      $ save_arg)
   in
   Cmd.v
     (Cmd.info "explore"

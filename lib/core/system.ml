@@ -193,6 +193,12 @@ let ft_core_state j =
   | J_ft_sa ft -> Some (Ft_sa.core ft)
   | J_direct _ -> None
 
+let ft_driver j =
+  match j.j_impl with
+  | J_ft_kt ft -> Some (Ft_kt.driver ft)
+  | J_ft_sa ft -> Some (Ft_sa.driver ft)
+  | J_direct _ -> None
+
 let ft_sa j = match j.j_impl with J_ft_sa ft -> Some ft | _ -> None
 
 let space j =

@@ -125,6 +125,11 @@ val ft_core_state : job -> Sa_uthread.Ft_core.state option
     directly on kernel threads).  Gives auditors access to ground-truth
     thread states and ready-queue contents. *)
 
+val ft_driver : job -> Sa_uthread.Ft_core.driver option
+(** The substrate driver behind a [`Fastthreads_*] job's core: with
+    {!ft_core_state}, what a test needs to run the job's threads on the
+    reference CPS walker it keeps as an oracle. *)
+
 val uthread_stats : job -> Sa_uthread.Ft_core.stats option
 (** Thread-package statistics, for the two FastThreads backends. *)
 

@@ -4,8 +4,8 @@
     lexicographically — the discrete-event core uses [key] for the ns
     firing time and [seq] for FIFO order among simultaneous events.  The
     pop sequence is the strict ascending [(key, seq)] order, byte-identical
-    to the binary-heap reference {!Pqueue}; the two are interchangeable
-    behind {!Sim}, and a qcheck differential suite holds them to it.
+    to the binary-heap reference kept as a test oracle (test/pqueue.ml);
+    a qcheck differential suite holds the two to it.
 
     Layout: one bucket per distinct pending ns key holds its events as a
     FIFO in ascending [seq]; a small index heap orders the buckets.  Adding

@@ -131,7 +131,7 @@ let install sim ~chooser ~trace_sink adj =
   | Some s -> Trace.add_sink (Sim.trace sim) s
   | None -> ()
 
-let run_server ?chooser ?trace_sink spec =
+let run_server ?chooser ?trace_sink ?(on_job = fun _ _ -> ()) spec =
   let kcfg = { Kconfig.default with Kconfig.seed = spec.seed } in
   let sys = System.create ~cpus:spec.cpus ~kconfig:kcfg () in
   let adj = Hashtbl.create 32 in
@@ -141,11 +141,12 @@ let run_server ?chooser ?trace_sink spec =
       seed = spec.seed }
   in
   let recorder = Recorder.create () in
-  let _job =
+  let prog = Server.program params in
+  let job =
     System.submit sys ~backend:`Fastthreads_on_sa ~name:"server"
-      ~observer:(Recorder.observer recorder)
-      (Server.program params)
+      ~observer:(Recorder.observer recorder) prog
   in
+  on_job job prog;
   let _checker =
     Invariant.attach ~period:(Time.ms 1) ~label:"explore" ~seed:spec.seed
       sys
@@ -219,14 +220,15 @@ let run_chaos ?chooser ?trace_sink spec =
     summary = None;
   }
 
-let run ?chooser ?trace_sink spec =
-  match spec.workload with
-  | Server -> run_server ?chooser ?trace_sink spec
-  | Chaos -> run_chaos ?chooser ?trace_sink spec
+let run ?chooser ?trace_sink ?on_job spec =
+  match (spec.workload, on_job) with
+  | Server, _ -> run_server ?chooser ?trace_sink ?on_job spec
+  | Chaos, None -> run_chaos ?chooser ?trace_sink spec
+  | Chaos, Some _ -> invalid_arg "Search.run: on_job needs the server workload"
 
-let record ?(inner = Chooser.default) ?trace_sink spec =
+let record ?(inner = Chooser.default) ?trace_sink ?on_job spec =
   let state, ch = Chooser.recording ~inner () in
-  let r = run ~chooser:ch ?trace_sink spec in
+  let r = run ~chooser:ch ?trace_sink ?on_job spec in
   (r, Chooser.recorded state)
 
 let replay ?(mode = Chooser.Strict) ?active ?trace_sink spec sched =

@@ -55,19 +55,27 @@ type run_result = {
 val run :
   ?chooser:Sa_engine.Sim.chooser ->
   ?trace_sink:(Sa_engine.Trace.record -> unit) ->
+  ?on_job:(Sa.System.job -> Sa_program.Program.t -> unit) ->
   spec ->
   run_result
 (** One run.  Catches {!Sa_engine.Sim.Stalled} (→ [Violation]) and
-    [Failure] (→ [No_completion]); anything else propagates. *)
+    [Failure] (→ [No_completion]); anything else propagates.
+
+    [on_job] is a test seam: it is called with the server workload's job
+    and its program right after submission, before anything runs — the
+    differential suite uses it to put the job on its reference CPS
+    walker.  Passing it with the chaos workload raises
+    [Invalid_argument]. *)
 
 val record :
   ?inner:Sa_engine.Sim.chooser ->
   ?trace_sink:(Sa_engine.Trace.record -> unit) ->
+  ?on_job:(Sa.System.job -> Sa_program.Program.t -> unit) ->
   spec ->
   run_result * Schedule.t
 (** Run under [inner] (default the identity chooser) wrapped in a recorder;
     returns the result and the decision sequence (no metadata — see
-    {!meta_of_spec}). *)
+    {!meta_of_spec}).  [on_job] as for {!run}. *)
 
 val replay :
   ?mode:Chooser.replay_mode ->

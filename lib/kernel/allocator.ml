@@ -136,11 +136,17 @@ let preempt_cpu_from t sp =
            deadline.  The claimant's grant is delayed for the duration —
            the priority violation Section 6 describes. *)
         set_warned slot sp true;
+        let gen = slot.slot_warn_gen in
         tracef t "allocator: warn %s on cpu%d (grace %a)" sp.sp_name
           (Cpu.id slot.slot_cpu) Time.pp_span grace;
         ignore
           (Sim.schedule_after t.sim ~delay:grace (fun () ->
-               if slot_owned_by slot sp && slot.slot_warned then begin
+               (* Only this warning's deadline: the owner may have let the
+                  processor go, got it back and been warned again since. *)
+               if
+                 slot_owned_by slot sp && slot.slot_warned
+                 && slot.slot_warn_gen = gen
+               then begin
                  preempt_slot_now t sp slot;
                  reevaluate t
                end))

@@ -181,6 +181,7 @@ let create ?ids sim machine costs cfg =
           slot_q_fire = quantum_fire_unset;
           slot_gen = 0;
           slot_warned = false;
+          slot_warn_gen = 0;
         })
       (Machine.cpus machine)
   in

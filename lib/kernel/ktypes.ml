@@ -160,6 +160,9 @@ and slot = {
          processor (Kconfig.preempt_warning).  Written only by [set_warned];
          [release_slot] clears it, so a warning never outlives the owner it
          was issued to *)
+  mutable slot_warn_gen : int;
+      (* bumped by every new warning, so a deadline timer can tell whether
+         the warning it was armed for is still the outstanding one *)
 }
 
 and t = {
@@ -266,6 +269,7 @@ let slot_owned_by slot sp =
 let set_warned slot sp w =
   if slot.slot_warned <> w then begin
     slot.slot_warned <- w;
+    if w then slot.slot_warn_gen <- slot.slot_warn_gen + 1;
     sp.sp_warned <- (if w then sp.sp_warned + 1 else sp.sp_warned - 1)
   end
 

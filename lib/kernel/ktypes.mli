@@ -114,6 +114,8 @@ and slot = {
   mutable slot_q_fire : unit -> unit;
   mutable slot_gen : int;
   mutable slot_warned : bool;
+  mutable slot_warn_gen : int;
+      (** bumped by every new warning on this slot ({!set_warned}) *)
 }
 
 and t = {
@@ -193,7 +195,8 @@ val slot_owned_by : slot -> space -> bool
 
 val set_warned : slot -> space -> bool -> unit
 (** All [slot_warned] changes go through here so the owner's [sp_warned]
-    count stays exact; [space] must own [slot]. *)
+    count stays exact; [space] must own [slot].  Setting a warning bumps
+    [slot_warn_gen]. *)
 
 val release_slot : t -> slot -> space -> unit
 (** Take [slot] from its owner [space]: clear any outstanding warning,

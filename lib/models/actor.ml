@@ -18,7 +18,8 @@ let pending t = Queue.length t.box
 
 (* [send] and [receive] touch the host-level mailbox queue from their
    continuations, so both are force-dependent ([B.dynamic]): eager
-   compilation would move messages at compile time. *)
+   compilation would move messages at compile time, so the step loop
+   fetches such programs lazily instead. *)
 let send t msg =
   let open B in
   dynamic

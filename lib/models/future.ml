@@ -16,8 +16,9 @@ let is_resolved f = !(f.cell) <> None
    through — a broadcast built from a counting semaphore. *)
 (* Both [resolve] and [get] consult or mutate the host-level cell from
    their continuations, so they are force-dependent: the [B.dynamic]
-   marker keeps any containing program on the reference interpreter
-   (eager compilation would run these effects at compile time). *)
+   marker keeps any containing program off the eager compiler (which would
+   run these effects at compile time); the step loop fetches it lazily,
+   forcing each continuation when the operation before it completes. *)
 let resolve fut value =
   let open B in
   dynamic

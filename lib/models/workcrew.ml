@@ -56,7 +56,8 @@ let run ~workers ?(on_task = fun _ -> ()) tasks =
   in
   (* The loop branches on the host-level bag and [outstanding] counter at
      force time, so the worker program is force-dependent: the [Dynamic]
-     marker keeps it (and any tree that forks it) off the eager compiler. *)
+     marker keeps it (and any tree that forks it) off the eager compiler,
+     and the step loop fetches it lazily. *)
   let worker = P.Dynamic (B.to_program (worker_loop ())) in
   B.to_program
     (let* tids =

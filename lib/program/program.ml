@@ -73,8 +73,9 @@ type t =
   | Dynamic of t
       (* force-dependent marker: the wrapped program's continuations read
          or write host state, so they must be forced at simulated
-         execution time; [compile] refuses the whole containing tree and
-         interpreters unwrap transparently *)
+         execution time; [compile] refuses the whole containing tree (the
+         step loop then fetches it lazily) and interpreters unwrap it
+         transparently *)
 
 module Build = struct
   type 'a m = ('a -> t) -> t
@@ -132,8 +133,9 @@ let compute_only d = Compute (d, fun () -> Done)
 
 module Code = struct
   (* Op tags.  Interpreters match on the integer literals directly (an
-     18-way [match] on an int compiles to a jump table); the constants
-     below exist so they can sanity-check the numbering at module init. *)
+     int [match] compiles to a jump table); the constants below exist so
+     they can sanity-check the numbering at module init.  [op_refill] is
+     never emitted by [compile]: it is the step loop's lazy-fetch slot. *)
   let op_done = 0
   let op_compute = 1
   let op_acquire = 2
@@ -152,6 +154,7 @@ module Code = struct
   let op_yield = 15
   let op_stamp = 16
   let op_set_priority = 17
+  let op_refill = 18
 
   type t = {
     op : int array;  (* op tag *)
@@ -176,8 +179,8 @@ end
 (* Fork continuations are forced symbolically: each fork site hands its
    continuation a unique, hugely negative sentinel thread id.  A sentinel
    showing up anywhere except a [Join] target means the program computes
-   on thread ids — compilation aborts and the caller falls back to the
-   reference interpreter.  [min_int/4] leaves sentinel +/- small-int
+   on thread ids — compilation aborts and the caller runs the program
+   through the step loop's lazy fetch instead.  [min_int/4] leaves sentinel +/- small-int
    arithmetic still recognizably suspicious. *)
 let sentinel_base = min_int / 2
 let sentinel_threshold = min_int / 4
@@ -359,8 +362,8 @@ let compile ?(budget = 1_000_000) prog =
   | exception _ ->
       (* Any exception during eager forcing (including [Compile_abort] and
          [Stack_overflow] on pathologically deep fork nesting) falls back
-         to the reference interpreter, which forces continuations lazily
-         at the original program-order points. *)
+         to the step loop's lazy fetch, which forces continuations at the
+         original program-order points. *)
       None
   | root_pc ->
       assert (root_pc = 0);

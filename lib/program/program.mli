@@ -87,11 +87,12 @@ type t =
           continuations read or write host state (a future's cell, a work
           bag, a mailbox), so they must be forced at simulated execution
           time, never eagerly.  {!compile} refuses any tree containing the
-          marker — every backend then runs the program on the reference
-          CPS interpreter, whose force-at-execution semantics such programs
-          rely on.  Interpreters unwrap it transparently at zero simulated
-          cost.  Pure-structure programs (spans and sync objects only in
-          continuations) never need it. *)
+          marker; the FastThreads step loop then runs the thread through
+          its lazy fetch, which forces each continuation at the simulated
+          instant the operation before it completes.  Interpreters unwrap
+          it transparently at zero simulated cost.  Pure-structure
+          programs (spans and sync objects only in continuations) never
+          need it. *)
 
 (** Monadic builder for writing programs in direct style:
     {[
@@ -211,6 +212,10 @@ module Code : sig
 
   val op_set_priority : int  (** = 17 *)
 
+  val op_refill : int
+  (** = 18.  Never emitted by {!compile}: the slot the step loop's lazy
+      fetch uses to force a refused program's next continuation. *)
+
   val length : t -> int
 end
 
@@ -219,8 +224,9 @@ val compile : ?budget:int -> t -> Code.t option
     pc 0).  Fork continuations are forced symbolically with a per-site
     sentinel thread id; [Join] on a sentinel compiles to a fork-site
     reference resolved at run time through the joining thread's own fork
-    bindings.  Returns [None] — callers fall back to the reference CPS
-    interpreter — when the program computes on thread ids (a sentinel
+    bindings.  Returns [None] — the step loop then fetches the program
+    lazily, one operation at a time — when the program computes on thread
+    ids (a sentinel
     escapes into any non-join operand, or joins a fork another thread
     performed), exceeds [budget] instructions (default 1M; catches
     unbounded recursion — shared subtrees are duplicated, not memoized),

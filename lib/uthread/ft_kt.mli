@@ -34,6 +34,7 @@ val start : t -> Sa_program.Program.t -> unit
 (** Create the main user-level thread and start the virtual processors. *)
 
 val core : t -> Ft_core.state
+val driver : t -> Ft_core.driver
 val space : t -> Sa_kernel.Kernel.space
 
 val completion_time : t -> Sa_engine.Time.t option

@@ -36,6 +36,7 @@ val start : t -> Sa_program.Program.t -> unit
     upcall starts execution. *)
 
 val core : t -> Ft_core.state
+val driver : t -> Ft_core.driver
 val space : t -> Sa_kernel.Kernel.space
 val completion_time : t -> Sa_engine.Time.t option
 val is_finished : t -> bool

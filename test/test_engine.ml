@@ -1,7 +1,6 @@
 (* Unit and property tests for the discrete-event engine. *)
 
 module Time = Sa_engine.Time
-module Pqueue = Sa_engine.Pqueue
 module Calq = Sa_engine.Calq
 module Rng = Sa_engine.Rng
 module Stats = Sa_engine.Stats

@@ -11,7 +11,6 @@
 module Time = Sa_engine.Time
 module Sim = Sa_engine.Sim
 module Rng = Sa_engine.Rng
-module Pqueue = Sa_engine.Pqueue
 module Injector = Sa_fault.Injector
 module Recorder = Sa_workload.Recorder
 module Server = Sa_workload.Server

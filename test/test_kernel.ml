@@ -464,6 +464,87 @@ let explicit_tests =
         check Alcotest.bool "the claimant never answers a warning" false
           (List.mem (Kernel.space_id (System.space cl)) !responders);
         Kernel.check_invariants k);
+    Alcotest.test_case "a stale warning timer cannot cut a later grace period"
+      `Quick (fun () ->
+        (* One processor.  [a] holds it and never answers warnings; the
+           priority-5 claimant [b] makes the allocator warn [a] at 5 ms.
+           [a] idles the warned processor instead, [b] runs 1 ms and idles
+           it, [a] asks again and gets it back, and at 14 ms [b]'s second
+           claim warns [a] a second time.  The first warning's timer
+           (due at 25 ms) belongs to a warning that is gone: the processor
+           may only be forced away when the second grace period ends. *)
+        let grace = Time.ms 20 in
+        let sim, _m, k =
+          make ~cpus:1
+            ~kconfig:{ Kconfig.default with Kconfig.preempt_warning = Some grace }
+            ()
+        in
+        let warnings = ref [] in
+        Sa_engine.Trace.add_sink (Sim.trace sim) (fun r ->
+            if
+              String.starts_with ~prefix:"allocator: warn a "
+                (Sa_engine.Trace.render_message r)
+            then warnings := r.Sa_engine.Trace.time :: !warnings);
+        let return_stopped delivery =
+          List.iter
+            (function
+              | Upcall.Processor_preempted { act; _ } ->
+                  Kernel.sa_return_activation k act
+              | _ -> ())
+            delivery.Kernel.uc_events
+        in
+        let a_idle = ref false in
+        let rec a_work act =
+          Kernel.sa_charge k act (Time.ms 1) (fun () ->
+              if !a_idle then begin
+                a_idle := false;
+                Kernel.sa_cpu_idle k act
+              end
+              else a_work act)
+        in
+        let a =
+          Kernel.new_sa_space k ~name:"a"
+            ~client:
+              {
+                Kernel.on_upcall =
+                  (fun delivery ->
+                    return_stopped delivery;
+                    a_work delivery.Kernel.uc_activation);
+              }
+            ()
+        in
+        let b_upcalls = ref [] in
+        let b =
+          Kernel.new_sa_space k ~name:"b" ~priority:5
+            ~client:
+              {
+                Kernel.on_upcall =
+                  (fun delivery ->
+                    b_upcalls := Sim.now sim :: !b_upcalls;
+                    let act = delivery.Kernel.uc_activation in
+                    Kernel.sa_charge k act (Time.ms 1) (fun () ->
+                        Kernel.sa_cpu_idle k act));
+              }
+            ()
+        in
+        let at ms f = ignore (Sim.schedule sim ~at:(Time.of_ns (Time.ms ms)) f) in
+        Kernel.sa_add_more_processors k a 1;
+        at 5 (fun () -> Kernel.sa_add_more_processors k b 1);
+        at 6 (fun () -> a_idle := true);
+        at 8 (fun () -> Kernel.sa_add_more_processors k a 1);
+        at 14 (fun () -> Kernel.sa_add_more_processors k b 1);
+        Sim.run ~until:(Time.of_ns (Time.ms 60)) sim;
+        match (List.rev !warnings, List.rev !b_upcalls) with
+        | [ _; second ], [ _; regained ] ->
+            check Alcotest.bool
+              (Printf.sprintf "b regains the processor at %.3f ms, not before %.3f ms"
+                 (Time.to_ms regained)
+                 (Time.to_ms (Time.add second grace)))
+              true
+              (Time.compare regained (Time.add second grace) >= 0)
+        | w, u ->
+            Alcotest.failf "expected two warnings and two b upcalls, got %d and %d"
+              (List.length w) (List.length u));
   ]
 
 (* ------------------------------------------------------------------ *)
