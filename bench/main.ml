@@ -786,11 +786,15 @@ let calq_bench =
     ]
 
 (* The compiled-program interpreter measured in isolation: arena-compile
-   cost (with fork-child memoization over a shared leaf), the flat step
-   loop's dispatch over an accumulate-and-yield body, and the sync-op fast
-   path (uncontended acquire/release).  The interpreter runs are pinned to
-   one CPU so the numbers track per-op interpreter overhead, not
-   scheduling.  Gated by [micro --check] alongside the engine groups. *)
+   cost, the flat step loop's dispatch over an accumulate-and-yield body,
+   and the sync-op fast path (uncontended acquire/release).  The compile
+   rows fork one shared leaf 64 times, and fork from a window of 8 of 96
+   shared leaves (the perfbench [forkjoin] leaf shape) that slides across
+   128 branches: more distinct shared children than a 64-entry memo
+   holds, so a capped memo recompiles leaves at every fork.  The
+   interpreter runs are pinned to one CPU so the numbers track per-op
+   interpreter overhead, not scheduling.  Gated by [micro --check]
+   alongside the engine groups. *)
 let program_bench =
   let module Program = Sa_program.Program in
   let module Time = Sa_engine.Time in
@@ -804,6 +808,23 @@ let program_bench =
   in
   let fanout =
     Program.Build.(to_program (repeat 64 (fun _ -> fork_unit leaf)))
+  in
+  let sliding_fanout =
+    let leaves =
+      Array.init 96 (fun j ->
+          Program.Build.(
+            to_program
+              (let* () = compute (Time.us (j + 1)) in
+               let* () = yield in
+               compute (Time.us 1))))
+    in
+    let branch b =
+      let first = b * (96 - 8) / 127 in
+      Program.Build.(
+        to_program
+          (repeat 40 (fun i -> fork_unit leaves.(first + (i mod 8)))))
+    in
+    Program.Build.(to_program (iter_list (List.init 128 branch) fork_unit))
   in
   let stepper =
     Program.Build.(
@@ -828,6 +849,8 @@ let program_bench =
     [
       Test.make ~name:"compile fanout-64"
         (Staged.stage (fun () -> ignore (Program.compile fanout)));
+      Test.make ~name:"compile fanout 128 branches x 8-of-96 shared leaves"
+        (Staged.stage (fun () -> ignore (Program.compile sliding_fanout)));
       Test.make ~name:"step dispatch yield x250"
         (Staged.stage (run_one stepper));
       Test.make ~name:"sync fast path x250" (Staged.stage (run_one locker));

@@ -164,7 +164,9 @@ module Code = struct
            child entry pc (fork), join target (>= 0: literal runtime tid;
            < 0: [-(site+1)], resolved through the thread's fork bindings),
            block (cache_read), marker id (stamp), priority *)
-    b : int array;  (* second operand: mutex index (wait), fork site (fork) *)
+    b : int array;
+        (* second operand: mutex index (wait), fork site (fork; -1 when no
+           join names the site) *)
     nx : int array;  (* next pc (-1 terminates; only op_done has -1) *)
     mutexes : Mutex.t array;  (* code-local index -> object *)
     conds : Cond.t array;
@@ -189,31 +191,185 @@ let is_sentinel v = v <= sentinel_base
 
 exception Compile_abort
 
-let compile ?(budget = 1_000_000) prog =
-  let cap = ref 64 in
-  let op = ref (Array.make !cap 0)
-  and a = ref (Array.make !cap 0)
-  and b = ref (Array.make !cap 0)
-  and nx = ref (Array.make !cap (-1)) in
-  let len = ref 0 in
-  let emit o av bv =
-    if !len >= budget then raise Compile_abort;
-    if !len >= !cap then begin
-      let ncap = !cap * 2 in
-      let grow arr fill =
-        let n = Array.make ncap fill in
-        Array.blit !arr 0 n 0 !len;
-        arr := n
-      in
-      grow op 0; grow a 0; grow b 0; grow nx (-1);
-      cap := ncap
+(* Memo key of a fork child: its first operation's constructor and first
+   operand, plus the head of a forked grandchild.  Closures are never
+   hashed — [Hashtbl.hash] would mix their code pointers, which move from
+   run to run — so which children hit the memo, and with it the arena, is
+   the same in every process. *)
+let rec head_key prog =
+  let tagged tag v = (v lsl 5) lor tag in
+  match prog with
+  | Done -> 0
+  | Compute (d, _) -> tagged 1 d
+  | Acquire (m, _) -> tagged 2 (Mutex.id m)
+  | Release (m, _) -> tagged 3 (Mutex.id m)
+  | Wait (c, _, _) -> tagged 4 (Cond.id c)
+  | Signal (c, _) -> tagged 5 (Cond.id c)
+  | Broadcast (c, _) -> tagged 6 (Cond.id c)
+  | Sem_p (s, _) -> tagged 7 (Sem.id s)
+  | Sem_v (s, _) -> tagged 8 (Sem.id s)
+  | Ksem_p (s, _) -> tagged 9 (Sem.id s)
+  | Ksem_v (s, _) -> tagged 10 (Sem.id s)
+  | Fork (Fork _, _) -> 11
+  | Fork (child, _) -> tagged 11 (head_key child)
+  | Join (tid, _) -> tagged 12 tid
+  | Io (d, _) -> tagged 13 d
+  | Cache_read (blk, _) -> tagged 14 blk
+  | Yield _ -> 15
+  | Stamp (id, _) -> tagged 16 id
+  | Set_priority (p, _) -> tagged 17 p
+  | Dynamic _ -> 18
+
+(* The fork-child memo of [compile]: sets of [ways] ways, keyed on
+   physical identity.  A child's set comes from the hash of its
+   [head_key]; a lookup compares at most [ways] children with [==]; an
+   insert into a full set evicts its least recently used way.  An evicted
+   child forked again is compiled again — a duplicate body, never a scan.
+   Ways rather than one slot per set: two children forked in alternation
+   that land in one slot would evict each other at every fork.
+
+   The table starts at [min_sets] sets and doubles, up to [max_sets],
+   only when the way to evict holds a child that was hit, i.e. one known
+   to be shared.  Programs whose children are all one-shot (a Barnes-Hut
+   step's tasks, a server's requests) keep the small table: every child
+   it holds survives the minor collections of the compile, so a large
+   table of one-shot children would only promote them into the major
+   heap. *)
+module Memo = struct
+  let ways = 4
+  let min_sets = 16
+  let max_sets = 1024
+
+  type memo = {
+    mutable sets : int;
+    mutable child : t array;
+    mutable entry : int array;  (* the child's entry pc; -1 marks an empty way *)
+    mutable used : int array;  (* [clock] at the way's last hit or insert *)
+    mutable shared : bool array;  (* hit since it was inserted *)
+    mutable clock : int;
+  }
+
+  let alloc m sets =
+    m.sets <- sets;
+    m.child <- Array.make (sets * ways) Done;
+    m.entry <- Array.make (sets * ways) (-1);
+    m.used <- Array.make (sets * ways) (-1);
+    m.shared <- Array.make (sets * ways) false
+
+  let create () =
+    let m =
+      { sets = 0; child = [||]; entry = [||]; used = [||]; shared = [||]; clock = 0 }
+    in
+    alloc m min_sets;
+    m
+
+  let hash child = Hashtbl.hash (head_key child)
+
+  (* First way of the set of a child hashing to [h]. *)
+  let base m h = (h land (m.sets - 1)) * ways
+
+  (* The entry pc of [child] (hashing to [h]), or -1. *)
+  let find m h child =
+    let i = ref (base m h) and last = base m h + ways in
+    while !i < last && not (m.entry.(!i) >= 0 && m.child.(!i) == child) do
+      incr i
+    done;
+    if !i = last then -1
+    else begin
+      m.clock <- m.clock + 1;
+      m.used.(!i) <- m.clock;
+      m.shared.(!i) <- true;
+      m.entry.(!i)
+    end
+
+  let rec add m h child pc =
+    let b = base m h in
+    let lru = ref b in
+    for i = b + 1 to b + ways - 1 do
+      if m.used.(i) < m.used.(!lru) then lru := i
+    done;
+    let i = !lru in
+    if m.shared.(i) && m.sets < max_sets then begin
+      grow m;
+      add m h child pc
+    end
+    else begin
+      m.clock <- m.clock + 1;
+      m.child.(i) <- child;
+      m.entry.(i) <- pc;
+      m.used.(i) <- m.clock;
+      m.shared.(i) <- false
+    end
+
+  (* Doubling splits each set into two, so every entry finds a free way in
+     its new set. *)
+  and grow m =
+    let child = m.child and entry = m.entry in
+    let used = m.used and shared = m.shared in
+    alloc m (2 * m.sets);
+    Array.iteri
+      (fun i pc ->
+        if pc >= 0 then begin
+          let j = ref (base m (hash child.(i))) in
+          while m.entry.(!j) >= 0 do incr j done;
+          m.child.(!j) <- child.(i);
+          m.entry.(!j) <- pc;
+          m.used.(!j) <- used.(i);
+          m.shared.(!j) <- shared.(i)
+        end)
+      entry
+end
+
+(* A growable int vector in fixed chunks of [size] ints, for the arena
+   and the fork-site table of [compile].  Growing never copies, and each
+   chunk is a small block: allocated young and, if it survives, promoted
+   into the major heap's size-classed pools.  A doubling array would
+   re-allocate and copy large blocks — fresh memory at every step — and a
+   final trim would copy the arena once more: on a large program that
+   costs more host time than the eager forcing itself, and several times
+   the arena in transient heap. *)
+module Vec = struct
+  let bits = 7
+  let size = 1 lsl bits
+
+  type t = { mutable chunks : int array array; mutable len : int }
+
+  let create () = { chunks = [||]; len = 0 }
+  let get v i = v.chunks.(i lsr bits).(i land (size - 1))
+  let set v i x = v.chunks.(i lsr bits).(i land (size - 1)) <- x
+
+  let push v x =
+    let i = v.len in
+    let c = i lsr bits in
+    if i land (size - 1) = 0 then begin
+      if c = Array.length v.chunks then begin
+        let n = Array.make (max 8 (2 * c)) [||] in
+        Array.blit v.chunks 0 n 0 c;
+        v.chunks <- n
+      end;
+      v.chunks.(c) <- Array.make size 0
     end;
-    let pc = !len in
-    !op.(pc) <- o;
-    !a.(pc) <- av;
-    !b.(pc) <- bv;
-    !nx.(pc) <- -1;
-    incr len;
+    v.chunks.(c).(i land (size - 1)) <- x;
+    v.len <- i + 1
+
+  let to_array v =
+    let arr = Array.make v.len 0 in
+    for c = 0 to (v.len - 1) asr bits do
+      Array.blit v.chunks.(c) 0 arr (c lsl bits) (min size (v.len - (c lsl bits)))
+    done;
+    arr
+end
+
+let compile ?(budget = 1_000_000) prog =
+  let op = Vec.create () and a = Vec.create () in
+  let b = Vec.create () and nx = Vec.create () in
+  let emit o av bv =
+    let pc = op.Vec.len in
+    if pc >= budget then raise Compile_abort;
+    Vec.push op o;
+    Vec.push a av;
+    Vec.push b bv;
+    Vec.push nx (-1);
     pc
   in
   (* Sync objects are interned to dense code-local indices, one space per
@@ -239,15 +395,18 @@ let compile ?(budget = 1_000_000) prog =
   let kidx s = intern ktbl klst kn (Sem.id s) s in
   let check v = if v < sentinel_threshold then raise Compile_abort; v in
   let check_span v = if v < 0 then raise Compile_abort; v in
-  let nsites = ref 0 in
-  (* Each compiled instruction has exactly one predecessor (subtrees are
-     duplicated, never shared), so every instruction belongs to exactly one
-     thread-straight-line region: the root is region 0, each fork child
-     opens a fresh region while the continuation stays in the forker's.  A
-     join on a site recorded under a different region would look up a fork
-     binding its own thread never established — abort (the program captured
-     a thread id across a fork boundary). *)
-  let site_region = Hashtbl.create 16 in
+  (* Every instruction belongs to exactly one thread-straight-line region:
+     the root is region 0, each compiled fork child opens a fresh region
+     while the continuation stays in the forker's.  A memoized child's
+     entry pc has one predecessor per fork site that reuses it, but all
+     its instructions still lie in the one region it was compiled in.  A
+     join on a site recorded under a different region would look up a
+     fork binding its own thread never established — abort (the program
+     captured a thread id across a fork boundary).  [sites] holds, per fork
+     site, its region shifted left by one, the low bit set once a join
+     names the site: forks at sites no join names get [b = -1], so the
+     step loop records no binding for them. *)
+  let sites = Vec.create () in
   let next_region = ref 1 in
   (* Physically-shared fork children compile once and every fork site
      points at the same entry pc.  Fan-out programs fork one shared
@@ -256,13 +415,15 @@ let compile ?(budget = 1_000_000) prog =
      resolve fork sites through each running thread's own bindings, so
      instances sharing code (and fork sites) stay independent.  Keyed on
      physical equality: a non-[Dynamic] tree is force-pure by contract,
-     so forcing it once stands for every instance.  The list stays tiny
-     (distinct shared children, capped), so [==] scans beat hashing. *)
-  let child_memo = ref [] in
+     so forcing it once stands for every instance ([Memo] above).
+     Structurally equal but physically distinct children (a server's
+     per-request subtrees) share one set and just miss.  Allocated at the
+     first fork. *)
+  let memo = lazy (Memo.create ()) in
   let rec go region prog0 =
     let entry = ref (-1) and patch = ref (-1) in
     let link pc =
-      if !entry = -1 then entry := pc else !nx.(!patch) <- pc;
+      if !entry = -1 then entry := pc else Vec.set nx !patch pc;
       patch := pc
     in
     let cur = ref prog0 in
@@ -303,31 +464,31 @@ let compile ?(budget = 1_000_000) prog =
           link (emit Code.op_ksem_v (kidx s) 0);
           cur := k ()
       | Fork (child, k) ->
-          let site = !nsites in
-          incr nsites;
-          Hashtbl.replace site_region site region;
+          let site = sites.Vec.len in
           let pc = emit Code.op_fork 0 site in
           link pc;
+          Vec.push sites (region lsl 1);
+          let memo = Lazy.force memo in
+          let h = Memo.hash child in
           let child_pc =
-            match List.find_opt (fun (c, _) -> c == child) !child_memo with
-            | Some (_, cpc) -> cpc
-            | None ->
+            match Memo.find memo h child with
+            | -1 ->
                 let child_region = !next_region in
                 incr next_region;
                 let cpc = go child_region child in
-                if List.length !child_memo < 64 then
-                  child_memo := (child, cpc) :: !child_memo;
+                Memo.add memo h child cpc;
                 cpc
+            | cpc -> cpc
           in
-          !a.(pc) <- child_pc;
+          Vec.set a pc child_pc;
           cur := k (sentinel_of_site site)
       | Join (tid, k) ->
           let operand =
             if is_sentinel tid then begin
               let site = sentinel_base - tid in
-              (match Hashtbl.find_opt site_region site with
-              | Some r when r = region -> ()
-              | Some _ | None -> raise Compile_abort);
+              if site >= sites.Vec.len || Vec.get sites site lsr 1 <> region
+              then raise Compile_abort;
+              Vec.set sites site (Vec.get sites site lor 1);
               -(site + 1)
             end
             else if tid < 0 then raise Compile_abort
@@ -367,18 +528,23 @@ let compile ?(budget = 1_000_000) prog =
       None
   | root_pc ->
       assert (root_pc = 0);
-      let trim arr = Array.sub !arr 0 !len in
+      let op = Vec.to_array op and b = Vec.to_array b in
+      Array.iteri
+        (fun pc o ->
+          if o = Code.op_fork && Vec.get sites b.(pc) land 1 = 0 then
+            b.(pc) <- -1)
+        op;
       Some
         {
-          Code.op = trim op;
-          a = trim a;
-          b = trim b;
-          nx = trim nx;
+          Code.op;
+          a = Vec.to_array a;
+          b;
+          nx = Vec.to_array nx;
           mutexes = Array.of_list (List.rev !mlst);
           conds = Array.of_list (List.rev !clst);
           sems = Array.of_list (List.rev !slst);
           ksems = Array.of_list (List.rev !klst);
-          fork_sites = !nsites;
+          fork_sites = sites.Vec.len;
         }
 
 let op_count prog ~max =

@@ -162,7 +162,9 @@ module Code : sig
             runtime tid, [< 0] is [-(site+1)] resolved through the joining
             thread's own fork bindings), block (cache_read), marker id
             (stamp), priority *)
-    b : int array;  (** second operand: mutex index (wait), fork site (fork) *)
+    b : int array;
+        (** second operand: mutex index (wait), fork site (fork; [-1] when
+            no join names the site, so the fork records no binding) *)
     nx : int array;  (** next pc ([-1] terminates; only [op_done] has [-1]) *)
     mutexes : Mutex.t array;  (** code-local mutex index -> object *)
     conds : Cond.t array;
@@ -170,7 +172,9 @@ module Code : sig
     ksems : Sem.t array;
         (** kernel-semaphore index space, separate from [sems]: user and
             kernel semaphore state live in separate backend tables *)
-    fork_sites : int;  (** number of fork sites (bounds bind-list length) *)
+    fork_sites : int;
+        (** number of fork sites: fork instructions in the arena (a shared
+            child's sites are counted once) *)
   }
 
   (** Interpreters dispatch with a [match] on the raw tag (a jump table);
@@ -221,16 +225,19 @@ end
 
 val compile : ?budget:int -> t -> Code.t option
 (** Force the program tree eagerly into a {!Code.t} arena (root entry at
-    pc 0).  Fork continuations are forced symbolically with a per-site
-    sentinel thread id; [Join] on a sentinel compiles to a fork-site
-    reference resolved at run time through the joining thread's own fork
-    bindings.  Returns [None] — the step loop then fetches the program
+    pc 0), in O(1) host work per operation.  Fork continuations are forced
+    symbolically with a per-site sentinel thread id; [Join] on a sentinel
+    compiles to a fork-site reference resolved at run time through the
+    joining thread's own fork bindings, and only forks whose site some
+    join names record a binding.  A fork child physically shared by
+    several fork sites is memoized: it compiles once and every site points
+    at its entry (a bounded memo; a child evicted from it is compiled
+    again).  Returns [None] — the step loop then fetches the program
     lazily, one operation at a time — when the program computes on thread
-    ids (a sentinel
-    escapes into any non-join operand, or joins a fork another thread
-    performed), exceeds [budget] instructions (default 1M; catches
-    unbounded recursion — shared subtrees are duplicated, not memoized),
-    or any exception escapes the eager forcing. *)
+    ids (a sentinel escapes into any non-join operand, or joins a fork
+    another thread performed), exceeds [budget] instructions (default 1M;
+    catches unbounded recursion), or any exception escapes the eager
+    forcing. *)
 
 val null : t
 (** The empty program (exits immediately). *)

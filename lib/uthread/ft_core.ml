@@ -879,7 +879,9 @@ and commit_op s d tcb lk =
       let child =
         if child_pc >= 0 then begin
           let child = new_flat_thread s d lk ~pc:child_pc in
-          tcb.binds <- (Array.unsafe_get code.Pcode.b pc, child.tid) :: tcb.binds;
+          (* [b] is the fork site, or -1 when no join names it *)
+          let site = Array.unsafe_get code.Pcode.b pc in
+          if site >= 0 then tcb.binds <- (site, child.tid) :: tcb.binds;
           child
         end
         else begin

@@ -406,6 +406,68 @@ let targeted_case ?(lazy_ = false) name mk =
           check Alcotest.string name (pp_obs reference) (pp_obs flat)))
     backends
 
+(* A scaled-down [forkjoin] (the perfbench fan-out): 80 branches, each
+   forking 6 leaves from a window of 6 of 72 shared leaf programs that
+   slides across them, so more distinct shared children pass through
+   [Program.compile]'s fork-child memo than its smallest table holds.
+   Each branch joins its even-numbered leaves and leaves the others
+   unjoined, so forks with and without a fork binding both run.  The
+   compiled arena shares the leaf code between branches; the CPS oracle
+   walks every fork of the tree afresh.  The leaves do not yield: with a
+   yield between their two computes (the perfbench leaf) the step loop's
+   schedule on 2 and 3 processors leaves the oracle's on both substrates,
+   identically when the compiler memoizes no child at all — an
+   interpreter divergence (docs/INTERNALS.md §12), not a compile one. *)
+let forkjoin_prog () =
+  let shapes = 72 and window = 6 and branches = 80 in
+  let leaf =
+    Array.init shapes (fun j ->
+        B.to_program
+          (let open B in
+           let* () = compute (Time.us (20 + (j mod 9 * 15))) in
+           let* () = stamp j in
+           compute (Time.us (10 + (j * 7 mod 11 * 10)))))
+  in
+  let branch b =
+    let first = b * (shapes - window) / (branches - 1) in
+    B.to_program
+      (let open B in
+       let rec spawn acc i =
+         if i = window then return acc
+         else
+           let* tid = fork leaf.(first + i) in
+           spawn (if i mod 2 = 0 then tid :: acc else acc) (i + 1)
+       in
+       let* joined = spawn [] 0 in
+       iter_list joined (fun tid -> join tid))
+  in
+  B.to_program (B.iter_list (List.init branches branch) B.fork_unit)
+
+(* The fork fan-out against the oracle: the same stamps at the same
+   instants, the same forks and completions, the same elapsed time. *)
+let forkjoin_agrees =
+  List.map
+    (fun (bname, kconfig, backend) ->
+      Alcotest.test_case
+        (Printf.sprintf "shared-child fork fan-out agrees [%s]" bname)
+        `Quick
+        (fun () ->
+          check Alcotest.bool "compiles" true
+            (P.compile (forkjoin_prog ()) <> None);
+          let reference = observe ~oracle:true kconfig backend (forkjoin_prog ()) in
+          let flat = observe ~oracle:false kconfig backend (forkjoin_prog ()) in
+          let totals o = match o.o_sched with f :: c :: _ -> [ f; c ] | l -> l in
+          let stamps o = List.map (fun (i, t) -> (i, Time.to_ns t)) o.o_stamps in
+          check Alcotest.bool "oracle finished" true reference.o_finished;
+          check Alcotest.bool "step loop finished" true flat.o_finished;
+          check
+            (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+            "stamps and their instants" (stamps reference) (stamps flat);
+          check (Alcotest.list Alcotest.int) "forks, completions"
+            (totals reference) (totals flat);
+          check Alcotest.int "elapsed" reference.o_elapsed flat.o_elapsed))
+    backends
+
 (* The second documented divergence site (docs/INTERNALS.md §12).  When a
    dispatch cost is charged as a manager event of its own (always under
    the oracle; on the step loop only for re-dispatches after a preemption
@@ -565,7 +627,8 @@ let () =
         targeted_case "condvar handshake" cond_prog
         @ targeted_case "kernel semaphore" ksem_prog
         @ targeted_case ~lazy_:true "future" future_prog
-        @ targeted_case ~lazy_:true "workcrew" workcrew_prog );
+        @ targeted_case ~lazy_:true "workcrew" workcrew_prog
+        @ forkjoin_agrees );
       ( "coalescing-site",
         [ preemption_divergence_bounded; inflight_divergence_bounded ] );
       ("replay", [ record_oracle_replay_step_loop ]);

@@ -163,6 +163,115 @@ let pp_tests =
         check Alcotest.bool "has fork braces" true (String.contains out '{'));
   ]
 
+(* [Program.compile]: fork-child memoization, fork-site resolution and the
+   fork operand of unjoined sites. *)
+let arena prog =
+  match P.compile prog with
+  | Some code -> P.Code.length code
+  | None -> Alcotest.fail "program did not compile"
+
+let fork_operands code =
+  List.filter_map
+    (fun pc ->
+      if code.P.Code.op.(pc) = P.Code.op_fork then Some code.P.Code.b.(pc)
+      else None)
+    (List.init (P.Code.length code) Fun.id)
+
+let compile_tests =
+  [
+    Alcotest.test_case "a sliding fan-out compiles each shared leaf once"
+      `Quick (fun () ->
+        (* 128 branches of 40 forks; branch [b] forks from a window of 8 of
+           96 shared leaves that slides from leaf 0 to leaf 88, so more
+           distinct shared children are live over the run than any
+           64-entry memo holds. *)
+        let leaves = 96 and window = 8 and branches = 128 and forks = 40 in
+        let leaf =
+          Array.init leaves (fun j ->
+              B.to_program
+                (let open B in
+                 let* () = compute (Time.us (j + 1)) in
+                 yield))
+        in
+        let branch b =
+          let first = b * (leaves - window) / (branches - 1) in
+          B.to_program
+            (B.repeat forks (fun i -> B.fork_unit leaf.(first + (i mod window))))
+        in
+        let prog =
+          B.to_program (B.iter_list (List.init branches branch) B.fork_unit)
+        in
+        (* root: a fork per branch + done; branch: its forks + done; leaf:
+           compute, yield, done *)
+        let expected =
+          (branches + 1) + (branches * (forks + 1)) + (leaves * 3)
+        in
+        check Alcotest.int "arena" expected (arena prog));
+    Alcotest.test_case "structurally equal distinct children each compile"
+      `Quick (fun () ->
+        (* A server handler's subrequests: 2000 children built one by one,
+           equal in structure but not physically shared. *)
+        let subrequest () =
+          B.to_program
+            (let open B in
+             let* () = when_ false (cache_read 0) in
+             let* () = io (Time.us 50) in
+             compute (Time.us 20))
+        in
+        let prog =
+          B.to_program (B.repeat 2000 (fun _ -> B.fork_unit (subrequest ())))
+        in
+        check Alcotest.int "arena" ((2000 * 3) + 2001) (arena prog));
+    Alcotest.test_case "a child capturing mutated state still hits the memo"
+      `Quick (fun () ->
+        (* The parent's continuation mutates a ref the shared child's
+           closure captures: the memo key never looks into closures. *)
+        let r = ref 0 in
+        let child = P.Compute (Time.us 1, fun () -> ignore r; P.Done) in
+        let rec loop i =
+          if i = 100 then P.Done
+          else
+            P.Fork
+              ( child,
+                fun _ ->
+                  r := i;
+                  loop (i + 1) )
+        in
+        check Alcotest.int "100 forks, done, the child once" 103
+          (arena (loop 0)));
+    Alcotest.test_case "a join on another region's fork site is refused"
+      `Quick (fun () ->
+        let prog =
+          B.to_program
+            (let open B in
+             let* tid = fork (P.compute_only 1) in
+             fork_unit (B.to_program (join tid)))
+        in
+        check Alcotest.bool "none" true (P.compile prog = None));
+    Alcotest.test_case "a join on a site past the last fork is refused"
+      `Quick (fun () ->
+        (* The only fork is site 0; [tid - 1] is the sentinel of site 1. *)
+        let prog =
+          P.Fork (P.compute_only 1, fun tid -> P.Join (tid - 1, fun () -> P.Done))
+        in
+        check Alcotest.bool "none" true (P.compile prog = None));
+    Alcotest.test_case "only joined fork sites carry their site operand"
+      `Quick (fun () ->
+        let prog =
+          B.to_program
+            (let open B in
+             let* joined = fork (P.compute_only 1) in
+             let* _ = fork (P.compute_only 2) in
+             join joined)
+        in
+        match P.compile prog with
+        | None -> Alcotest.fail "program did not compile"
+        | Some code ->
+            check
+              (Alcotest.list Alcotest.int)
+              "site 0 joined, site 1 not" [ 0; -1 ] (fork_operands code));
+  ]
+
 let () =
   Alcotest.run "program"
     [
@@ -170,4 +279,5 @@ let () =
       ("objects", object_tests);
       ("walk", walk_tests);
       ("pp", pp_tests);
+      ("compile", compile_tests);
     ]
