@@ -33,262 +33,8 @@
 
 module E = Sa_metrics.Experiments
 module R = Sa_metrics.Report
+module Json = Sa_engine.Json
 module Nbody = Sa_workload.Nbody
-
-(* ------------------------------------------------------------------ *)
-(* Paper experiments as typed results                                  *)
-(* ------------------------------------------------------------------ *)
-
-type result =
-  | Latency of E.latency_row list
-  | Speedup of E.speedup_series list
-  | Exec_time of E.exec_time_series list
-  | Multiprog of E.multiprog_row list
-  | Upcalls of E.upcall_row list
-  | Ablation of E.ablation_row list
-  | Server of E.server_row list
-
-let experiments : (string * string * (unit -> result)) list =
-  [
-    ( "table1",
-      "Table 1: Thread Operation Latencies (usec)",
-      fun () -> Latency (E.table1 ()) );
-    ( "table4",
-      "Table 4: Thread Operation Latencies (usec), with Scheduler Activations",
-      fun () -> Latency (E.table4 ()) );
-    ( "figure1",
-      "Figure 1: Speedup of N-Body Application vs. Number of Processors, \
-       100% of Memory Available",
-      fun () -> Speedup (E.figure1 ()) );
-    ( "figure2",
-      "Figure 2: Execution Time of N-Body Application vs. Amount of \
-       Available Memory, 6 Processors",
-      fun () -> Exec_time (E.figure2 ()) );
-    ( "table5",
-      "Table 5: Speedup for N-Body Application, Multiprogramming Level = 2, \
-       6 Processors, 100% of Memory Available",
-      fun () -> Multiprog (E.table5 ()) );
-    ( "upcall",
-      "Section 5.2: Upcall Performance (Signal-Wait through the kernel)",
-      fun () -> Upcalls (E.upcall_performance ()) );
-    ( "ablation-critical",
-      "Ablation (S5.1/S4.3): critical-section marking strategy, latency \
-       impact",
-      fun () -> Ablation (E.ablation_critical_sections ()) );
-    ( "ablation-hysteresis",
-      "Ablation (S4.2): idle-processor hysteresis before reallocation",
-      fun () -> Ablation (E.ablation_hysteresis ~spins_ms:[ 0; 1; 5; 20 ] ())
-    );
-    ( "ablation-pool",
-      "Ablation (S4.3): discarded-scheduler-activation recycling",
-      fun () -> Ablation (E.ablation_activation_pooling ()) );
-    ( "ablation-rotation",
-      "Ablation (S4.1): time-slicing the remainder processor between equal \
-       jobs (5 CPUs, 2 jobs)",
-      fun () -> Ablation (E.ablation_remainder_rotation ()) );
-    ( "ablation-disk",
-      "Ablation (S5.3): Figure 2 with a queued disk (contention) instead of \
-       the fixed 50 ms block",
-      fun () -> Exec_time (E.figure2_disk_contention ()) );
-    ( "server",
-      "Extension: open-arrival server response times (4 CPUs, 200 requests, \
-       80% do 20 ms I/O)",
-      fun () -> Server (E.server_latency ()) );
-    ( "ablation-warning",
-      "Related-work comparison (S6): immediate stop-and-upcall vs the \
-       Psyche/Symunix warning protocol (high-priority grant latency)",
-      fun () -> Ablation (E.preemption_protocol ()) );
-    ( "retrospective",
-      "Retrospective: the same systems under 2020s costs (ns-scale user \
-       ops, us-scale kernel ops, NVMe I/O) and 1000x finer-grained tasks",
-      fun () -> Ablation (E.modern_retrospective ()) );
-    ( "ablation-fairness",
-      "Ablation (S4.1): allocator fairness in processor-seconds",
-      fun () -> Ablation (E.allocator_fairness ()) );
-    ( "ablation-priority",
-      "Ablation (S4.1): address-space priorities in the allocator",
-      fun () -> Ablation (E.space_priority ()) );
-  ]
-
-let print_result ~title = function
-  | Latency rows -> R.print_latency_table ~title rows
-  | Speedup series -> R.print_speedup_series ~title series
-  | Exec_time series -> R.print_exec_time_series ~title series
-  | Multiprog rows -> R.print_multiprog ~title rows
-  | Upcalls rows -> R.print_upcalls ~title rows
-  | Ablation rows -> R.print_ablation ~title rows
-  | Server rows -> R.print_server ~title rows
-
-(* ------------------------------------------------------------------ *)
-(* JSON encoding (hand-rolled: the vocabulary is a handful of rows)    *)
-(* ------------------------------------------------------------------ *)
-
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let add_float buf v =
-  if Float.is_nan v || Float.abs v = Float.infinity then
-    Buffer.add_string buf "null"
-  else Buffer.add_string buf (Printf.sprintf "%.6g" v)
-
-let add_float_opt buf = function
-  | None -> Buffer.add_string buf "null"
-  | Some v -> add_float buf v
-
-let add_fields buf fields =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, add_v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_json_string buf k;
-      Buffer.add_char buf ':';
-      add_v buf)
-    fields;
-  Buffer.add_char buf '}'
-
-let add_list buf add_item items =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i item ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_item buf item)
-    items;
-  Buffer.add_char buf ']'
-
-let add_result buf result =
-  let str s buf = add_json_string buf s in
-  let fl v buf = add_float buf v in
-  let fl_opt v buf = add_float_opt buf v in
-  let int n buf = Buffer.add_string buf (string_of_int n) in
-  match result with
-  | Latency rows ->
-      add_list buf
-        (fun buf (r : E.latency_row) ->
-          add_fields buf
-            [
-              ("system", str r.system);
-              ("null_fork_us", fl r.null_fork_us);
-              ("signal_wait_us", fl r.signal_wait_us);
-              ("paper_null_fork", fl_opt r.paper_null_fork);
-              ("paper_signal_wait", fl_opt r.paper_signal_wait);
-            ])
-        rows
-  | Speedup series ->
-      add_list buf
-        (fun buf (s : E.speedup_series) ->
-          add_fields buf
-            [
-              ("series", str s.series);
-              ( "points",
-                fun buf ->
-                  add_list buf
-                    (fun buf (p : E.speedup_point) ->
-                      add_fields buf
-                        [
-                          ("processors", int p.processors);
-                          ("speedup", fl p.speedup);
-                        ])
-                    s.points );
-            ])
-        series
-  | Exec_time series ->
-      add_list buf
-        (fun buf (s : E.exec_time_series) ->
-          add_fields buf
-            [
-              ("series", str s.io_series);
-              ( "points",
-                fun buf ->
-                  add_list buf
-                    (fun buf (p : E.exec_time_point) ->
-                      add_fields buf
-                        [
-                          ("memory_percent", int p.memory_percent);
-                          ("exec_time_s", fl p.exec_time_s);
-                        ])
-                    s.io_points );
-            ])
-        series
-  | Multiprog rows ->
-      add_list buf
-        (fun buf (r : E.multiprog_row) ->
-          add_fields buf
-            [
-              ("system", str r.mp_system);
-              ("speedup", fl r.mp_speedup);
-              ("paper", fl_opt r.mp_paper);
-            ])
-        rows
-  | Upcalls rows ->
-      add_list buf
-        (fun buf (r : E.upcall_row) ->
-          add_fields buf
-            [
-              ("config", str r.u_config);
-              ("signal_wait_us", fl r.u_signal_wait_us);
-              ("paper", fl_opt r.u_paper);
-            ])
-        rows
-  | Ablation rows ->
-      add_list buf
-        (fun buf (r : E.ablation_row) ->
-          add_fields buf
-            [
-              ("label", str r.a_label);
-              ("value", fl r.a_value);
-              ("unit", str r.a_unit);
-            ])
-        rows
-  | Server rows ->
-      add_list buf
-        (fun buf (r : E.server_row) ->
-          add_fields buf
-            [
-              ("system", str r.s_system);
-              ("mean_us", fl r.s_mean_us);
-              ("p95_us", fl r.s_p95_us);
-              ("p99_us", fl r.s_p99_us);
-            ])
-        rows
-
-let result_kind = function
-  | Latency _ -> "latency"
-  | Speedup _ -> "speedup"
-  | Exec_time _ -> "exec-time"
-  | Multiprog _ -> "multiprog"
-  | Upcalls _ -> "upcalls"
-  | Ablation _ -> "ablation"
-  | Server _ -> "server"
-
-let print_json selected =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  List.iteri
-    (fun i (name, title, run) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      let result = run () in
-      add_json_string buf name;
-      Buffer.add_char buf ':';
-      add_fields buf
-        [
-          ("kind", fun buf -> add_json_string buf (result_kind result));
-          ("title", fun buf -> add_json_string buf title);
-          ("data", fun buf -> add_result buf result);
-        ])
-    selected;
-  Buffer.add_string buf "\n}\n";
-  print_string (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
 (* Scale mode: large machines, many threads                            *)
@@ -396,44 +142,31 @@ let scale_one ~cpus ~threads =
 let run_scale () =
   List.map (fun (cpus, threads) -> scale_one ~cpus ~threads) scale_configs
 
-let print_scale_json rows =
-  let buf = Buffer.create 1024 in
-  let int n buf = Buffer.add_string buf (string_of_int n) in
-  let fl v buf = add_float buf v in
-  Buffer.add_string buf "{\n";
-  add_json_string buf "scale";
-  Buffer.add_char buf ':';
-  add_fields buf
-    [
-      ("kind", fun buf -> add_json_string buf "scale");
-      ("title", fun buf -> add_json_string buf scale_title);
-      ( "data",
-        fun buf ->
-          add_list buf
-            (fun buf r ->
-              add_fields buf
-                [
-                  ("cpus", int r.sc_cpus);
-                  ("threads", int r.sc_threads);
-                  ("makespan_ms", fl r.sc_makespan_ms);
-                  ("throughput_per_s", fl r.sc_throughput);
-                  ("steals", int r.sc_steals);
-                  ("upcalls", int r.sc_upcalls);
-                  ("dispatches", int r.sc_dispatches);
-                  ("reallocations", int r.sc_reallocations);
-                  ("events_total", int r.sc_events);
-                  ("wall_ms", fl r.sc_wall_ms);
-                  ("events_per_s_wall", fl r.sc_events_per_s_wall);
-                  ("program_steps", int r.sc_program_steps);
-                  ("charge_segments", int r.sc_charge_segments);
-                  ("charge_batches", int r.sc_charge_batches);
-                  ("cs_spin_ns", int r.sc_spin_ns);
-                  ("cs_recoveries", int r.sc_recoveries);
-                ])
-            rows );
-    ];
-  Buffer.add_string buf "\n}\n";
-  print_string (Buffer.contents buf)
+let scale_json rows =
+  let int n = Json.Int n and num v = Json.Float v in
+  Json.List
+    (List.map
+       (fun r ->
+         Json.Obj
+           [
+             ("cpus", int r.sc_cpus);
+             ("threads", int r.sc_threads);
+             ("makespan_ms", num r.sc_makespan_ms);
+             ("throughput_per_s", num r.sc_throughput);
+             ("steals", int r.sc_steals);
+             ("upcalls", int r.sc_upcalls);
+             ("dispatches", int r.sc_dispatches);
+             ("reallocations", int r.sc_reallocations);
+             ("events_total", int r.sc_events);
+             ("wall_ms", num r.sc_wall_ms);
+             ("events_per_s_wall", num r.sc_events_per_s_wall);
+             ("program_steps", int r.sc_program_steps);
+             ("charge_segments", int r.sc_charge_segments);
+             ("charge_batches", int r.sc_charge_batches);
+             ("cs_spin_ns", int r.sc_spin_ns);
+             ("cs_recoveries", int r.sc_recoveries);
+           ])
+       rows)
 
 let print_scale_text rows =
   Printf.printf "\n%s\n%s\n" scale_title (String.make 78 '-');
@@ -486,60 +219,6 @@ let run_serve () =
     s.E.v_tenant_count s.E.v_cpus s.E.v_elapsed_ms wall_ms;
   s
 
-let print_serve_json (s : E.serve_summary) =
-  let buf = Buffer.create 4096 in
-  let int n buf = Buffer.add_string buf (string_of_int n) in
-  let fl v buf = add_float buf v in
-  let str v buf = add_json_string buf v in
-  Buffer.add_string buf "{\n";
-  add_json_string buf "serve";
-  Buffer.add_char buf ':';
-  add_fields buf
-    [
-      ("kind", fun buf -> add_json_string buf "serve");
-      ("title", fun buf -> add_json_string buf serve_title);
-      ( "data",
-        fun buf ->
-          add_fields buf
-            [
-              ("cpus", int s.E.v_cpus);
-              ("tenants", int s.E.v_tenant_count);
-              ("requests_total", int s.E.v_requests_total);
-              ("upcalls", int s.E.v_upcalls);
-              ("preemptions", int s.E.v_preemptions);
-              ("reallocations", int s.E.v_reallocations);
-              ("elapsed_ms", fl s.E.v_elapsed_ms);
-              ( "per_tenant",
-                fun buf ->
-                  add_list buf
-                    (fun buf (r : E.serve_tenant_row) ->
-                      add_fields buf
-                        [
-                          ("tenant", str r.E.v_tenant);
-                          ("class", str r.E.v_class);
-                          ("completed", int r.E.v_completed);
-                          ("mean_us", fl r.E.v_mean_us);
-                          ("p50_us", fl r.E.v_p50_us);
-                          ("p99_us", fl r.E.v_p99_us);
-                          ("p999_us", fl r.E.v_p999_us);
-                          ("max_us", fl r.E.v_max_us);
-                          ("slo_ms", fl r.E.v_slo_ms);
-                          ("violations", int r.E.v_violations);
-                          ("violation_frac", fl r.E.v_violation_frac);
-                          ("makespan_ms", fl r.E.v_makespan_ms);
-                          ("grants", int r.E.v_grants);
-                          ("preempts", int r.E.v_preempts);
-                          ("cpu_seconds", fl r.E.v_cpu_seconds);
-                          ("program_steps", int r.E.v_program_steps);
-                          ("charge_segments", int r.E.v_charge_segments);
-                          ("charge_batches", int r.E.v_charge_batches);
-                        ])
-                    s.E.v_rows );
-            ] );
-    ];
-  Buffer.add_string buf "\n}\n";
-  print_string (Buffer.contents buf)
-
 (* ------------------------------------------------------------------ *)
 (* Cluster mode: multi-machine serving over the modeled network        *)
 (* ------------------------------------------------------------------ *)
@@ -580,87 +259,6 @@ let run_cluster () =
     s.Cluster.cl_machines s.Cluster.cl_cpus s.Cluster.cl_tenants
     s.Cluster.cl_elapsed_ms wall_ms;
   s
-
-let print_cluster_json (s : Cluster.summary) =
-  let buf = Buffer.create 4096 in
-  let int n buf = Buffer.add_string buf (string_of_int n) in
-  let fl v buf = add_float buf v in
-  let str v buf = add_json_string buf v in
-  let bool v buf = Buffer.add_string buf (if v then "true" else "false") in
-  Buffer.add_string buf "{\n";
-  add_json_string buf "cluster";
-  Buffer.add_char buf ':';
-  add_fields buf
-    [
-      ("kind", fun buf -> add_json_string buf "cluster");
-      ("title", fun buf -> add_json_string buf cluster_title);
-      ( "data",
-        fun buf ->
-          add_fields buf
-            [
-              ("machines", int s.Cluster.cl_machines);
-              ("cpus_per_machine", int s.Cluster.cl_cpus);
-              ("tenants", int s.Cluster.cl_tenants);
-              ("requests_total", int s.Cluster.cl_requests_total);
-              ("migrations", int s.Cluster.cl_migrations);
-              ("evacuations", int s.Cluster.cl_evacuations);
-              ("crashes", int s.Cluster.cl_crashes);
-              ("partitions", int s.Cluster.cl_partitions);
-              ("remote_hits", int s.Cluster.cl_remote_hits);
-              ("remote_fallbacks", int s.Cluster.cl_remote_fallbacks);
-              ("net_messages", int s.Cluster.cl_net.Sa_cluster.Net.messages);
-              ("net_bytes", int s.Cluster.cl_net.Sa_cluster.Net.bytes);
-              ("net_drops", int s.Cluster.cl_net.Sa_cluster.Net.drops);
-              ( "alloc_summaries",
-                int s.Cluster.cl_alloc.Sa_cluster.Cluster_alloc.summaries );
-              ( "alloc_commands",
-                int s.Cluster.cl_alloc.Sa_cluster.Cluster_alloc.commands );
-              ( "alloc_rebalances",
-                int s.Cluster.cl_alloc.Sa_cluster.Cluster_alloc.rebalances );
-              ("elapsed_ms", fl s.Cluster.cl_elapsed_ms);
-              ("completed_all", bool s.Cluster.cl_completed_all);
-              ( "per_machine",
-                fun buf ->
-                  add_list buf
-                    (fun buf (r : Cluster.machine_row) ->
-                      add_fields buf
-                        [
-                          ("machine", int r.Cluster.m_id);
-                          ("alive", bool r.Cluster.m_alive);
-                          ("tenants_final", int r.Cluster.m_tenants_final);
-                          ("upcalls", int r.Cluster.m_upcalls);
-                          ("preemptions", int r.Cluster.m_preemptions);
-                          ("reallocations", int r.Cluster.m_reallocations);
-                          ("migs_in", int r.Cluster.m_migs_in);
-                          ("migs_out", int r.Cluster.m_migs_out);
-                          ("remote_hits", int r.Cluster.m_remote_hits);
-                          ( "remote_fallbacks",
-                            int r.Cluster.m_remote_fallbacks );
-                          ("util", fl r.Cluster.m_util);
-                        ])
-                    s.Cluster.cl_machine_rows );
-              ( "per_tenant",
-                fun buf ->
-                  add_list buf
-                    (fun buf (r : Cluster.tenant_row) ->
-                      add_fields buf
-                        [
-                          ("tenant", int r.Cluster.c_tenant);
-                          ("class", str r.Cluster.c_class);
-                          ("home0", int r.Cluster.c_home0);
-                          ("home", int r.Cluster.c_home);
-                          ("completed", int r.Cluster.c_completed);
-                          ("p50_us", fl r.Cluster.c_p50_us);
-                          ("p99_us", fl r.Cluster.c_p99_us);
-                          ("p999_us", fl r.Cluster.c_p999_us);
-                          ("violations", int r.Cluster.c_violations);
-                          ("slo_ms", fl r.Cluster.c_slo_ms);
-                        ])
-                    s.Cluster.cl_tenant_rows );
-            ] );
-    ];
-  Buffer.add_string buf "\n}\n";
-  print_string (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks (wall clock)                              *)
@@ -1063,10 +661,16 @@ let micro_check () =
 (* ------------------------------------------------------------------ *)
 
 let run_paper () =
-  List.iter (fun (_, title, run) -> print_result ~title (run ())) experiments
+  List.iter (fun (e : E.entry) -> R.print ~title:e.title (e.run ())) E.table
 
-let find_experiment name =
-  List.find_opt (fun (n, _, _) -> n = name) experiments
+let find_experiment ~also name =
+  match E.find name with
+  | Some e -> e
+  | None ->
+      Printf.eprintf "unknown experiment %S; known: %s%s\n" name
+        (String.concat ", " E.names)
+        also;
+      exit 2
 
 let () =
   (* A roomier minor heap (2M words = 16 MB) keeps short-lived per-event
@@ -1083,29 +687,30 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let json = List.mem "--json" args in
   let args = List.filter (fun a -> a <> "--json") args in
-  if json then begin
-    match args with
-    | [ "scale" ] -> print_scale_json (run_scale ())
-    | [ "serve" ] -> print_serve_json (run_serve ())
-    | [ "cluster" ] -> print_cluster_json (run_cluster ())
-    | _ ->
-    let selected =
+  if json then
+    let sections =
       match args with
-      | [] | [ "paper" ] | [ "all" ] -> experiments
+      | [ "scale" ] ->
+          [
+            R.section ~name:"scale" ~kind:"scale" ~title:scale_title
+              (scale_json (run_scale ()));
+          ]
+      | [ "serve" ] ->
+          [
+            R.section ~name:"serve" ~kind:"serve" ~title:serve_title
+              (R.serve_json (run_serve ()));
+          ]
+      | [ "cluster" ] ->
+          [
+            R.section ~name:"cluster" ~kind:"cluster" ~title:cluster_title
+              (R.cluster_json (run_cluster ()));
+          ]
+      | [] | [ "paper" ] | [ "all" ] -> List.map R.experiment_section E.table
       | names ->
-          List.map
-            (fun name ->
-              match find_experiment name with
-              | Some e -> e
-              | None ->
-                  Printf.eprintf "unknown experiment %S; known: %s\n" name
-                    (String.concat ", "
-                       (List.map (fun (n, _, _) -> n) experiments));
-                  exit 2)
-            names
+          List.map R.experiment_section
+            (List.map (find_experiment ~also:"") names)
     in
-    print_json selected
-  end
+    print_string (R.document sections)
   else
     match args with
     | [] -> run_paper ()
@@ -1121,18 +726,10 @@ let () =
             | "paper" -> run_paper ()
             | "micro" -> run_micro ()
             | "scale" -> print_scale_text (run_scale ())
-            | "serve" ->
-                R.print_serve ~title:serve_title (run_serve ())
+            | "serve" -> R.print_serve ~title:serve_title (run_serve ())
             | "cluster" ->
                 R.print_cluster ~title:cluster_title (run_cluster ())
-            | name -> (
-                match find_experiment name with
-                | Some (_, title, run) -> print_result ~title (run ())
-                | None ->
-                    Printf.eprintf
-                      "unknown experiment %S; known: %s, paper, micro, all\n"
-                      name
-                      (String.concat ", "
-                         (List.map (fun (n, _, _) -> n) experiments));
-                    exit 2))
+            | name ->
+                let e = find_experiment ~also:", paper, micro, all" name in
+                R.print ~title:e.title (e.run ()))
           args

@@ -559,32 +559,29 @@ let report_cmd =
       & pos_all string [ "all" ]
       & info [] ~docv:"EXPERIMENT"
           ~doc:
-            "Experiments to run: table1, table4, table5, figure1, figure2, \
-             upcall, ablations, or all.")
+            (Printf.sprintf
+               "Experiments to run, by their bench name (%s), or \
+                $(b,ablations) for every ablation-* entry, or $(b,all)."
+               (String.concat ", " E.names)))
   in
   let action what =
-    let rec dispatch = function
-      | "table1" -> R.print_latency_table ~title:"Table 1" (E.table1 ())
-      | "table4" -> R.print_latency_table ~title:"Table 4" (E.table4 ())
-      | "table5" -> R.print_multiprog ~title:"Table 5" (E.table5 ())
-      | "figure1" -> R.print_speedup_series ~title:"Figure 1" (E.figure1 ())
-      | "figure2" -> R.print_exec_time_series ~title:"Figure 2" (E.figure2 ())
-      | "upcall" -> R.print_upcalls ~title:"Upcall performance" (E.upcall_performance ())
+    let select = function
+      | "all" -> E.table
       | "ablations" ->
-          R.print_ablation ~title:"Critical sections"
-            (E.ablation_critical_sections ());
-          R.print_ablation ~title:"Hysteresis"
-            (E.ablation_hysteresis ~spins_ms:[ 0; 1; 5; 20 ] ());
-          R.print_ablation ~title:"Activation pooling"
-            (E.ablation_activation_pooling ());
-          R.print_ablation ~title:"Remainder rotation"
-            (E.ablation_remainder_rotation ())
-      | "all" ->
-          List.iter dispatch
-            [ "table1"; "table4"; "figure1"; "figure2"; "table5"; "upcall"; "ablations" ]
-      | other -> Printf.eprintf "unknown experiment %S\n" other
+          List.filter
+            (fun (e : E.entry) -> String.starts_with ~prefix:"ablation-" e.name)
+            E.table
+      | name -> (
+          match E.find name with
+          | Some e -> [ e ]
+          | None ->
+              Printf.eprintf "unknown experiment %S; known: %s, ablations, all\n"
+                name (String.concat ", " E.names);
+              exit 2)
     in
-    List.iter dispatch what
+    List.iter
+      (fun (e : E.entry) -> R.print ~title:e.title (e.run ()))
+      (List.concat_map select what)
   in
   let term = Term.(const action $ what) in
   Cmd.v

@@ -100,66 +100,6 @@ module Samples = struct
   let to_array t = Array.sub t.data 0 t.n
 end
 
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    buckets : int array;
-    mutable under : int;
-    mutable over : int;
-    mutable nan : int;
-    mutable n : int;
-  }
-
-  let create ~lo ~hi ~buckets =
-    if buckets <= 0 then invalid_arg "Histogram.create: buckets";
-    if not (hi > lo) then invalid_arg "Histogram.create: bounds";
-    {
-      lo;
-      hi;
-      buckets = Array.make buckets 0;
-      under = 0;
-      over = 0;
-      nan = 0;
-      n = 0;
-    }
-
-  let add t x =
-    t.n <- t.n + 1;
-    (* NaN compares false against both bounds and [int_of_float nan] is 0,
-       which used to land NaN samples in bucket 0; count them apart. *)
-    if Float.is_nan x then t.nan <- t.nan + 1
-    else if x < t.lo then t.under <- t.under + 1
-    else if x >= t.hi then t.over <- t.over + 1
-    else begin
-      let nb = Array.length t.buckets in
-      let i = int_of_float ((x -. t.lo) /. (t.hi -. t.lo) *. float_of_int nb) in
-      let i = Stdlib.min i (nb - 1) in
-      t.buckets.(i) <- t.buckets.(i) + 1
-    end
-
-  let count t = t.n
-  let bucket_counts t = Array.copy t.buckets
-  let underflow t = t.under
-  let overflow t = t.over
-  let nan_count t = t.nan
-
-  let pp ppf t =
-    let nb = Array.length t.buckets in
-    let mx = Array.fold_left Stdlib.max 1 t.buckets in
-    let width = (t.hi -. t.lo) /. float_of_int nb in
-    for i = 0 to nb - 1 do
-      let bar = String.make (t.buckets.(i) * 40 / mx) '#' in
-      Format.fprintf ppf "[%8.2f,%8.2f) %6d %s@."
-        (t.lo +. (float_of_int i *. width))
-        (t.lo +. (float_of_int (i + 1) *. width))
-        t.buckets.(i) bar
-    done;
-    if t.under > 0 then Format.fprintf ppf "underflow %d@." t.under;
-    if t.over > 0 then Format.fprintf ppf "overflow %d@." t.over;
-    if t.nan > 0 then Format.fprintf ppf "nan %d@." t.nan
-end
-
 module Log_histogram = struct
   (* HDR-style log-scale histogram: the range [lo, hi) is split into
      octaves (powers of two above [lo]), each octave into [sub] linear

@@ -46,29 +46,6 @@ module Samples : sig
   (** Observations in insertion order. *)
 end
 
-(** Fixed-bucket histogram over [\[lo, hi)] with [buckets] equal bins plus
-    underflow/overflow bins. *)
-module Histogram : sig
-  type t
-
-  val create : lo:float -> hi:float -> buckets:int -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val bucket_counts : t -> int array
-  (** Length [buckets]; excludes under/overflow. *)
-
-  val underflow : t -> int
-  val overflow : t -> int
-
-  val nan_count : t -> int
-  (** NaN samples, counted apart — they belong to no bucket (NaN compares
-      false against both bounds, and [int_of_float nan] is 0, which used
-      to corrupt bucket 0). *)
-
-  val pp : Format.formatter -> t -> unit
-  (** ASCII bar rendering. *)
-end
-
 (** Log-scale histogram over [\[lo, hi)] with constant {e relative}
     resolution: each power-of-two octave above [lo] is split into
     [sub_buckets] linear sub-buckets (HDR-histogram bucketing).  O(1)

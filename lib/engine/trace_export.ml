@@ -1,5 +1,6 @@
-(* Chrome trace-event JSON writer.  Hand-rolled (no JSON dependency): the
-   event vocabulary is tiny and the format is append-only. *)
+(* Chrome trace-event JSON writer.  Events stream through one reused
+   buffer; strings go through {!Json.add_string}, and numbers keep the
+   Chrome-specific rule in [add_float] below. *)
 
 type t = {
   out : string -> unit;
@@ -15,26 +16,11 @@ let pid = 1
    track for unbound instants. *)
 let tid_of_cpu cpu = if cpu >= 0 then cpu + 1 else 0
 
-let add_escaped buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let add_str_field buf key value =
   Buffer.add_char buf '"';
   Buffer.add_string buf key;
-  Buffer.add_string buf "\":\"";
-  add_escaped buf value;
-  Buffer.add_char buf '"'
+  Buffer.add_string buf "\":";
+  Json.add_string buf value
 
 (* JSON numbers must not be nan/inf; timestamps are microseconds. *)
 let add_float buf v =
@@ -86,14 +72,7 @@ let raw_event t ~ph ~name ~cat ~ts ~tid ?id ?(args = []) () =
 
 let metadata t ~name ~tid ~value =
   raw_event t ~ph:"M" ~name ~cat:"__metadata" ~ts:0. ~tid
-    ~args:
-      [
-        ( "name",
-          fun buf ->
-            Buffer.add_char buf '"';
-            add_escaped buf value;
-            Buffer.add_char buf '"' );
-      ]
+    ~args:[ ("name", fun buf -> Json.add_string buf value) ]
     ()
 
 let ensure_track t ~tid =
@@ -125,13 +104,7 @@ let base_args (r : Trace.record) =
   let args = [] in
   let args =
     if r.message = "" then args
-    else
-      ( "detail",
-        fun buf ->
-          Buffer.add_char buf '"';
-          add_escaped buf r.message;
-          Buffer.add_char buf '"' )
-      :: args
+    else ("detail", fun buf -> Json.add_string buf r.message) :: args
   in
   let args =
     if r.space < 0 then args

@@ -739,3 +739,83 @@ let modern_retrospective () =
       a_unit = "x";
     };
   ]
+
+(* ------------------------------------------------------------------ *)
+(* The experiment table                                                *)
+(* ------------------------------------------------------------------ *)
+
+type result =
+  | Latency of latency_row list
+  | Speedup of speedup_series list
+  | Exec_time of exec_time_series list
+  | Multiprog of multiprog_row list
+  | Upcalls of upcall_row list
+  | Ablation of ablation_row list
+  | Server of server_row list
+
+type entry = { name : string; title : string; run : unit -> result }
+
+let entry name title run = { name; title; run }
+
+let table =
+  [
+    entry "table1" "Table 1: Thread Operation Latencies (usec)" (fun () ->
+        Latency (table1 ()));
+    entry "table4"
+      "Table 4: Thread Operation Latencies (usec), with Scheduler Activations"
+      (fun () -> Latency (table4 ()));
+    entry "figure1"
+      "Figure 1: Speedup of N-Body Application vs. Number of Processors, \
+       100% of Memory Available"
+      (fun () -> Speedup (figure1 ()));
+    entry "figure2"
+      "Figure 2: Execution Time of N-Body Application vs. Amount of \
+       Available Memory, 6 Processors"
+      (fun () -> Exec_time (figure2 ()));
+    entry "table5"
+      "Table 5: Speedup for N-Body Application, Multiprogramming Level = 2, \
+       6 Processors, 100% of Memory Available"
+      (fun () -> Multiprog (table5 ()));
+    entry "upcall"
+      "Section 5.2: Upcall Performance (Signal-Wait through the kernel)"
+      (fun () -> Upcalls (upcall_performance ()));
+    entry "ablation-critical"
+      "Ablation (S5.1/S4.3): critical-section marking strategy, latency \
+       impact"
+      (fun () -> Ablation (ablation_critical_sections ()));
+    entry "ablation-hysteresis"
+      "Ablation (S4.2): idle-processor hysteresis before reallocation"
+      (fun () -> Ablation (ablation_hysteresis ~spins_ms:[ 0; 1; 5; 20 ] ()));
+    entry "ablation-pool"
+      "Ablation (S4.3): discarded-scheduler-activation recycling" (fun () ->
+        Ablation (ablation_activation_pooling ()));
+    entry "ablation-rotation"
+      "Ablation (S4.1): time-slicing the remainder processor between equal \
+       jobs (5 CPUs, 2 jobs)"
+      (fun () -> Ablation (ablation_remainder_rotation ()));
+    entry "ablation-disk"
+      "Ablation (S5.3): Figure 2 with a queued disk (contention) instead of \
+       the fixed 50 ms block"
+      (fun () -> Exec_time (figure2_disk_contention ()));
+    entry "server"
+      "Extension: open-arrival server response times (4 CPUs, 200 requests, \
+       80% do 20 ms I/O)"
+      (fun () -> Server (server_latency ()));
+    entry "ablation-warning"
+      "Related-work comparison (S6): immediate stop-and-upcall vs the \
+       Psyche/Symunix warning protocol (high-priority grant latency)"
+      (fun () -> Ablation (preemption_protocol ()));
+    entry "retrospective"
+      "Retrospective: the same systems under 2020s costs (ns-scale user \
+       ops, us-scale kernel ops, NVMe I/O) and 1000x finer-grained tasks"
+      (fun () -> Ablation (modern_retrospective ()));
+    entry "ablation-fairness"
+      "Ablation (S4.1): allocator fairness in processor-seconds" (fun () ->
+        Ablation (allocator_fairness ()));
+    entry "ablation-priority"
+      "Ablation (S4.1): address-space priorities in the allocator" (fun () ->
+        Ablation (space_priority ()));
+  ]
+
+let find name = List.find_opt (fun e -> e.name = name) table
+let names = List.map (fun e -> e.name) table

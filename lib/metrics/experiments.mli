@@ -174,3 +174,30 @@ val modern_retrospective : unit -> ablation_row list
     magnitude cheaper than kernel threads — has {e grown} since 1991, and
     the Figure 1 shape (kernel threads flatten, user-level systems scale)
     reappears at the finer granularity. *)
+
+(** {1 The experiment table}
+
+    Every experiment both drivers ([bench] and [sa_sim report]) can run,
+    under the name each accepts on its command line. *)
+
+type result =
+  | Latency of latency_row list
+  | Speedup of speedup_series list
+  | Exec_time of exec_time_series list
+  | Multiprog of multiprog_row list
+  | Upcalls of upcall_row list
+  | Ablation of ablation_row list
+  | Server of server_row list
+
+type entry = {
+  name : string;  (** e.g. ["table1"], ["ablation-pool"] *)
+  title : string;  (** the heading printed above the result *)
+  run : unit -> result;  (** runs the experiment at its full size *)
+}
+
+val table : entry list
+(** In report order: the paper's tables and figures, then the ablations
+    and extensions. *)
+
+val find : string -> entry option
+val names : string list

@@ -47,9 +47,6 @@ let print_speedup_series ~title series =
     let lo = float_of_int row *. maxs /. 12.0 in
     let hi = float_of_int (row + 1) *. maxs /. 12.0 in
     Printf.printf "%5.1f |" lo;
-    List.iteri
-      (fun _ () -> ())
-      [];
     let cols = 6 in
     for p = 1 to cols do
       let cell = ref ' ' in
@@ -167,6 +164,15 @@ let print_serve ~title (s : Experiments.serve_summary) =
     s.Experiments.v_upcalls s.Experiments.v_preemptions
     s.Experiments.v_reallocations s.Experiments.v_elapsed_ms
 
+let print ~title = function
+  | Experiments.Latency rows -> print_latency_table ~title rows
+  | Speedup series -> print_speedup_series ~title series
+  | Exec_time series -> print_exec_time_series ~title series
+  | Multiprog rows -> print_multiprog ~title rows
+  | Upcalls rows -> print_upcalls ~title rows
+  | Ablation rows -> print_ablation ~title rows
+  | Server rows -> print_server ~title rows
+
 (* Cluster runs keep kernels separate: one section per machine (its own
    upcall/preemption/migration counters, never summed across the cluster),
    then the per-tenant tails, then the cluster-wide totals. *)
@@ -215,3 +221,197 @@ let print_cluster ~title (s : Sa_cluster.Cluster.summary) =
     s.C.cl_alloc.Sa_cluster.Cluster_alloc.rebalances;
   Printf.printf "elapsed %.1f ms%s\n" s.C.cl_elapsed_ms
     (if s.C.cl_completed_all then "" else " (INCOMPLETE: horizon expired)")
+
+(* ------------------------------------------------------------------ *)
+(* JSON                                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Json = Sa_engine.Json
+
+let num v = Json.Float v
+let num_opt = function None -> Json.Null | Some v -> Json.Float v
+let str s = Json.String s
+let int n = Json.Int n
+
+(* A list of objects, one per row. *)
+let rows rs fields = Json.List (List.map (fun r -> Json.Obj (fields r)) rs)
+
+let kind = function
+  | Experiments.Latency _ -> "latency"
+  | Speedup _ -> "speedup"
+  | Exec_time _ -> "exec-time"
+  | Multiprog _ -> "multiprog"
+  | Upcalls _ -> "upcalls"
+  | Ablation _ -> "ablation"
+  | Server _ -> "server"
+
+let to_json =
+  let open Experiments in
+  function
+  | Latency rs ->
+      rows rs (fun r ->
+          [
+            ("system", str r.system);
+            ("null_fork_us", num r.null_fork_us);
+            ("signal_wait_us", num r.signal_wait_us);
+            ("paper_null_fork", num_opt r.paper_null_fork);
+            ("paper_signal_wait", num_opt r.paper_signal_wait);
+          ])
+  | Speedup series ->
+      rows series (fun s ->
+          [
+            ("series", str s.series);
+            ( "points",
+              rows s.points (fun p ->
+                  [ ("processors", int p.processors); ("speedup", num p.speedup) ])
+            );
+          ])
+  | Exec_time series ->
+      rows series (fun s ->
+          [
+            ("series", str s.io_series);
+            ( "points",
+              rows s.io_points (fun p ->
+                  [
+                    ("memory_percent", int p.memory_percent);
+                    ("exec_time_s", num p.exec_time_s);
+                  ]) );
+          ])
+  | Multiprog rs ->
+      rows rs (fun r ->
+          [
+            ("system", str r.mp_system);
+            ("speedup", num r.mp_speedup);
+            ("paper", num_opt r.mp_paper);
+          ])
+  | Upcalls rs ->
+      rows rs (fun r ->
+          [
+            ("config", str r.u_config);
+            ("signal_wait_us", num r.u_signal_wait_us);
+            ("paper", num_opt r.u_paper);
+          ])
+  | Ablation rs ->
+      rows rs (fun r ->
+          [
+            ("label", str r.a_label);
+            ("value", num r.a_value);
+            ("unit", str r.a_unit);
+          ])
+  | Server rs ->
+      rows rs (fun r ->
+          [
+            ("system", str r.s_system);
+            ("mean_us", num r.s_mean_us);
+            ("p95_us", num r.s_p95_us);
+            ("p99_us", num r.s_p99_us);
+          ])
+
+let serve_json (s : Experiments.serve_summary) =
+  let open Experiments in
+  Json.Obj
+    [
+      ("cpus", int s.v_cpus);
+      ("tenants", int s.v_tenant_count);
+      ("requests_total", int s.v_requests_total);
+      ("upcalls", int s.v_upcalls);
+      ("preemptions", int s.v_preemptions);
+      ("reallocations", int s.v_reallocations);
+      ("elapsed_ms", num s.v_elapsed_ms);
+      ( "per_tenant",
+        rows s.v_rows (fun r ->
+            [
+              ("tenant", str r.v_tenant);
+              ("class", str r.v_class);
+              ("completed", int r.v_completed);
+              ("mean_us", num r.v_mean_us);
+              ("p50_us", num r.v_p50_us);
+              ("p99_us", num r.v_p99_us);
+              ("p999_us", num r.v_p999_us);
+              ("max_us", num r.v_max_us);
+              ("slo_ms", num r.v_slo_ms);
+              ("violations", int r.v_violations);
+              ("violation_frac", num r.v_violation_frac);
+              ("makespan_ms", num r.v_makespan_ms);
+              ("grants", int r.v_grants);
+              ("preempts", int r.v_preempts);
+              ("cpu_seconds", num r.v_cpu_seconds);
+              ("program_steps", int r.v_program_steps);
+              ("charge_segments", int r.v_charge_segments);
+              ("charge_batches", int r.v_charge_batches);
+            ]) );
+    ]
+
+let cluster_json (s : Sa_cluster.Cluster.summary) =
+  let open Sa_cluster.Cluster in
+  let net = s.cl_net and alloc = s.cl_alloc in
+  Json.Obj
+    [
+      ("machines", int s.cl_machines);
+      ("cpus_per_machine", int s.cl_cpus);
+      ("tenants", int s.cl_tenants);
+      ("requests_total", int s.cl_requests_total);
+      ("migrations", int s.cl_migrations);
+      ("evacuations", int s.cl_evacuations);
+      ("crashes", int s.cl_crashes);
+      ("partitions", int s.cl_partitions);
+      ("remote_hits", int s.cl_remote_hits);
+      ("remote_fallbacks", int s.cl_remote_fallbacks);
+      ("net_messages", int net.Sa_cluster.Net.messages);
+      ("net_bytes", int net.Sa_cluster.Net.bytes);
+      ("net_drops", int net.Sa_cluster.Net.drops);
+      ("alloc_summaries", int alloc.Sa_cluster.Cluster_alloc.summaries);
+      ("alloc_commands", int alloc.Sa_cluster.Cluster_alloc.commands);
+      ("alloc_rebalances", int alloc.Sa_cluster.Cluster_alloc.rebalances);
+      ("elapsed_ms", num s.cl_elapsed_ms);
+      ("completed_all", Json.Bool s.cl_completed_all);
+      ( "per_machine",
+        rows s.cl_machine_rows (fun r ->
+            [
+              ("machine", int r.m_id);
+              ("alive", Json.Bool r.m_alive);
+              ("tenants_final", int r.m_tenants_final);
+              ("upcalls", int r.m_upcalls);
+              ("preemptions", int r.m_preemptions);
+              ("reallocations", int r.m_reallocations);
+              ("migs_in", int r.m_migs_in);
+              ("migs_out", int r.m_migs_out);
+              ("remote_hits", int r.m_remote_hits);
+              ("remote_fallbacks", int r.m_remote_fallbacks);
+              ("util", num r.m_util);
+            ]) );
+      ( "per_tenant",
+        rows s.cl_tenant_rows (fun r ->
+            [
+              ("tenant", int r.c_tenant);
+              ("class", str r.c_class);
+              ("home0", int r.c_home0);
+              ("home", int r.c_home);
+              ("completed", int r.c_completed);
+              ("p50_us", num r.c_p50_us);
+              ("p99_us", num r.c_p99_us);
+              ("p999_us", num r.c_p999_us);
+              ("violations", int r.c_violations);
+              ("slo_ms", num r.c_slo_ms);
+            ]) );
+    ]
+
+let section ~name ~kind ~title data =
+  (name, Json.Obj [ ("kind", str kind); ("title", str title); ("data", data) ])
+
+let experiment_section (e : Experiments.entry) =
+  let r = e.run () in
+  section ~name:e.name ~kind:(kind r) ~title:e.title (to_json r)
+
+let document sections =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\n";
+  List.iteri
+    (fun i (name, v) ->
+      if i > 0 then Buffer.add_string buf ",\n";
+      Json.add_string buf name;
+      Buffer.add_char buf ':';
+      Json.add buf v)
+    sections;
+  Buffer.add_string buf "\n}\n";
+  Buffer.contents buf

@@ -1,20 +1,12 @@
-(** ASCII rendering of experiment results, paper-vs-measured. *)
+(** The results path: every experiment result, and the serve and cluster
+    summaries, rendered as an ASCII report (paper-vs-measured) or as JSON
+    through {!Sa_engine.Json}.  This module owns both formats. *)
 
-val print_latency_table :
-  title:string -> Experiments.latency_row list -> unit
+(** {1 Text} *)
 
-val print_speedup_series :
-  title:string -> Experiments.speedup_series list -> unit
-(** Prints the speedup matrix plus a crude ASCII plot. *)
-
-val print_exec_time_series :
-  title:string -> Experiments.exec_time_series list -> unit
-
-val print_multiprog : title:string -> Experiments.multiprog_row list -> unit
-val print_upcalls : title:string -> Experiments.upcall_row list -> unit
-val print_ablation : title:string -> Experiments.ablation_row list -> unit
-
-val print_server : title:string -> Experiments.server_row list -> unit
+val print : title:string -> Experiments.result -> unit
+(** Print [title] as a heading, then the result's table.  Speedup series
+    also get a crude ASCII plot. *)
 
 val print_serve : title:string -> Experiments.serve_summary -> unit
 (** Per-tenant SLO report for the multi-tenant serving scenario. *)
@@ -24,3 +16,24 @@ val print_cluster : title:string -> Sa_cluster.Cluster.summary -> unit
     never summed across the cluster), then per-tenant tail latencies with
     initial and final homes, then cluster-wide migration/net/allocator
     totals. *)
+
+(** {1 JSON}
+
+    A results document is one JSON object with a member per section:
+    [{"<name>":{"kind":…,"title":…,"data":…}, …}], one section per line. *)
+
+val serve_json : Experiments.serve_summary -> Sa_engine.Json.t
+val cluster_json : Sa_cluster.Cluster.summary -> Sa_engine.Json.t
+
+val section :
+  name:string -> kind:string -> title:string -> Sa_engine.Json.t ->
+  string * Sa_engine.Json.t
+(** One document member: [name] mapped to its kind, title and data. *)
+
+val experiment_section : Experiments.entry -> string * Sa_engine.Json.t
+(** Run the entry and encode its result as a section.  The section kind
+    names the row shape: ["latency"], ["speedup"], ["exec-time"],
+    ["multiprog"], ["upcalls"], ["ablation"] or ["server"]. *)
+
+val document : (string * Sa_engine.Json.t) list -> string
+(** The whole document, newline-terminated. *)

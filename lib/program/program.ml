@@ -172,7 +172,6 @@ module Code = struct
     conds : Cond.t array;
     sems : Sem.t array;
     ksems : Sem.t array;  (* separate index space: matches backend state *)
-    fork_sites : int;
   }
 
   let length c = Array.length c.op
@@ -544,7 +543,6 @@ let compile ?(budget = 1_000_000) prog =
           conds = Array.of_list (List.rev !clst);
           sems = Array.of_list (List.rev !slst);
           ksems = Array.of_list (List.rev !klst);
-          fork_sites = sites.Vec.len;
         }
 
 let op_count prog ~max =

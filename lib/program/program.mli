@@ -172,9 +172,6 @@ module Code : sig
     ksems : Sem.t array;
         (** kernel-semaphore index space, separate from [sems]: user and
             kernel semaphore state live in separate backend tables *)
-    fork_sites : int;
-        (** number of fork sites: fork instructions in the arena (a shared
-            child's sites are counted once) *)
   }
 
   (** Interpreters dispatch with a [match] on the raw tag (a jump table);

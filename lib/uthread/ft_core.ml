@@ -1077,7 +1077,6 @@ and lazy_link s prog =
           conds = [||];
           sems = [||];
           ksems = [||];
-          fork_sites = 0;
         };
       lmut = [| no_mutex |];
       lcond = [| no_cond |];

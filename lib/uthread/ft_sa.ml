@@ -9,44 +9,6 @@ module Program = Sa_program.Program
 
 type loaded = L_none | L_thread of Ft_core.tcb | L_manager
 
-(* Debug journal: recent driver actions, dumped on internal errors.  Opt-in
-   (set [journal_enabled]) because formatting on every dispatch costs real
-   time in large simulations.  A fixed-capacity ring: each entry overwrites
-   the oldest once full — O(1) per log line, no periodic trim, no
-   allocation beyond the formatted string itself. *)
-let journal_enabled = ref false
-let journal_cap = 16384
-let journal_buf = Array.make journal_cap ""
-let journal_head = ref 0 (* next write slot *)
-let journal_count = ref 0
-
-let jlog fmt =
-  if !journal_enabled then
-    Printf.ksprintf
-      (fun m ->
-        journal_buf.(!journal_head) <- m;
-        journal_head := (!journal_head + 1) mod journal_cap;
-        if !journal_count < journal_cap then incr journal_count)
-      fmt
-  else
-    (* Consume the format arguments without formatting or allocating — the
-       journal is opt-in precisely because formatting costs real time. *)
-    Printf.ikfprintf ignore () fmt
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let journal_for needle =
-  let start = (!journal_head - !journal_count + journal_cap) mod journal_cap in
-  let out = ref [] in
-  for i = !journal_count - 1 downto 0 do
-    let m = journal_buf.((start + i) mod journal_cap) in
-    if contains m needle then out := m :: !out
-  done;
-  !out
-
 type t = {
   mutable kernel : Kernel.t;
       (* the kernel currently hosting our space; cluster migration re-points
@@ -123,8 +85,6 @@ let trace_recovery t edge tcb =
     ~act:(Ft_core.tcb_id tcb) Trace.Uthread "cs-recovery"
 
 let bind t act tcb =
-  if !journal_enabled then
-    jlog "bind act%d <tid%d>" (Kernel.activation_id act) (Ft_core.tcb_id tcb);
   let aid = Kernel.activation_id act and tid = Ft_core.tcb_id tcb in
   ensure_aid t aid;
   ensure_tid t tid;
@@ -132,8 +92,6 @@ let bind t act tcb =
   t.bound.(tid) <- Some act
 
 let unbind t act tcb =
-  if !journal_enabled then
-    jlog "unbind act%d <tid%d>" (Kernel.activation_id act) (Ft_core.tcb_id tcb);
   ensure_aid t (Kernel.activation_id act);
   t.loaded.(Kernel.activation_id act) <- L_manager;
   if Ft_core.tcb_id tcb < Array.length t.bound then
@@ -268,7 +226,6 @@ let handle_event t idx = function
   | Upcall.Activation_unblocked { act = aid; ctx } -> (
       match loaded_of t aid with
       | L_thread tcb ->
-          jlog "unblocked act%d <tid%d>" aid (Ft_core.tcb_id tcb);
           (match Ft_core.tcb_state tcb with
           | Ft_core.Blocked_kernel -> ()
           | st ->
@@ -296,8 +253,6 @@ let handle_event t idx = function
   | Upcall.Processor_preempted { act = aid; ctx } -> (
       match loaded_of t aid with
       | L_thread tcb ->
-          jlog "preempted act%d <tid%d> in_cs=%b rem=%d" aid
-            (Ft_core.tcb_id tcb) (Ft_core.tcb_in_cs tcb) ctx.Upcall.remaining;
           t.loaded.(aid) <- L_none;
           t.bound.(Ft_core.tcb_id tcb) <- None;
           t.act_cpu.(aid) <- -1;
@@ -389,8 +344,6 @@ let create kernel ~name ?(priority = 0) ?policy ?cache ?io_dev
           Kernel.sa_charge t.kernel (act_of t tcb)
             costs.Cost_model.kernel_trap (fun () ->
               let act = act_of t tcb in
-              jlog "block_io act%d <tid%d>" (Kernel.activation_id act)
-                (Ft_core.tcb_id tcb);
               Ft_core.mark_kernel_blocked t.core_state tcb;
               Kernel.sa_block_io t.kernel act ~io:span k));
       block_kernel =
@@ -398,8 +351,6 @@ let create kernel ~name ?(priority = 0) ?policy ?cache ?io_dev
           Kernel.sa_charge t.kernel (act_of t tcb)
             costs.Cost_model.kernel_trap (fun () ->
               let act = act_of t tcb in
-              jlog "block_kernel act%d <tid%d>" (Kernel.activation_id act)
-                (Ft_core.tcb_id tcb);
               Ft_core.mark_kernel_blocked t.core_state tcb;
               Kernel.sa_block_kernel t.kernel act ~register k));
       thread_stopped =

@@ -45,13 +45,6 @@ val pending_recoveries : t -> int
 (** Threads stopped inside a critical section and awaiting temporary
     continuation (diagnostics). *)
 
-val journal_enabled : bool ref
-(** Enable the (off-by-default) driver-action journal. *)
-
-val journal_for : string -> string list
-(** Debug: recent driver actions mentioning the given substring (e.g.
-    ["<tid96>"]), oldest first.  Empty unless {!journal_enabled} was set. *)
-
 (** {1 Cluster migration} *)
 
 val rehome : t -> Sa_kernel.Kernel.t -> unit

@@ -75,12 +75,205 @@ let report_tests =
     Alcotest.test_case "all printers run without raising" `Quick (fun () ->
         (* Redirect is unnecessary: printers write to stdout, and alcotest
            captures test output. *)
-        R.print_latency_table ~title:"t" (E.table1 ~iters:10 ());
-        R.print_speedup_series ~title:"f1" (E.figure1 ~params:tiny ());
-        R.print_exec_time_series ~title:"f2" (E.figure2 ~params:tiny ());
-        R.print_multiprog ~title:"t5" (E.table5 ~params:tiny ());
-        R.print_upcalls ~title:"u" (E.upcall_performance ~iters:10 ());
-        R.print_ablation ~title:"a" (E.ablation_activation_pooling ~iters:10 ()));
+        List.iter
+          (R.print ~title:"t")
+          [
+            E.Latency (E.table1 ~iters:10 ());
+            E.Speedup (E.figure1 ~params:tiny ());
+            E.Exec_time (E.figure2 ~params:tiny ());
+            E.Multiprog (E.table5 ~params:tiny ());
+            E.Upcalls (E.upcall_performance ~iters:10 ());
+            E.Ablation (E.ablation_activation_pooling ~iters:10 ());
+            E.Server
+              [
+                {
+                  E.s_system = "s";
+                  s_mean_us = 1.0;
+                  s_p95_us = 2.0;
+                  s_p99_us = Float.nan;
+                };
+              ];
+          ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* The JSON results path                                               *)
+(* ------------------------------------------------------------------ *)
+
+module Json = Sa_engine.Json
+module J = Json_check
+
+let member_exn key v =
+  match J.member key v with
+  | Some x -> x
+  | None -> Alcotest.failf "missing key %S" key
+
+let keys = function
+  | J.Obj kvs -> List.map fst kvs
+  | _ -> Alcotest.fail "expected an object"
+
+(* Json_check's tree for a value [Json.add] writes. *)
+let rec expected = function
+  | Json.Null -> J.Null
+  | Json.Bool b -> J.Bool b
+  | Json.Int n -> J.Num (float_of_int n)
+  | Json.Float v -> J.Num v
+  | Json.String s -> J.Str s
+  | Json.List l -> J.Arr (List.map expected l)
+  | Json.Obj kvs -> J.Obj (List.map (fun (k, v) -> (k, expected v)) kvs)
+
+let known_kinds =
+  [ "latency"; "speedup"; "exec-time"; "multiprog"; "upcalls"; "ablation"; "server" ]
+
+let json_tests =
+  [
+    Alcotest.test_case "strings escape and round-trip" `Quick (fun () ->
+        let s = "q\"b\\n\nt\tr\rc\001." in
+        check Alcotest.string "escaped" {|"q\"b\\n\nt\tr\rc\u0001."|}
+          (Json.to_string (Json.String s));
+        check Alcotest.string "round-trip" s
+          (J.str (J.parse (Json.to_string (Json.String s)))));
+    Alcotest.test_case "NaN and infinities encode as null" `Quick (fun () ->
+        List.iter
+          (fun v ->
+            check Alcotest.string (string_of_float v) "null"
+              (Json.to_string (Json.Float v)))
+          [ Float.nan; Float.infinity; Float.neg_infinity ]);
+    Alcotest.test_case "numbers: integers exact, floats %.6g" `Quick (fun () ->
+        List.iter
+          (fun (v, want) -> check Alcotest.string want want (Json.to_string v))
+          [
+            (Json.Int 0, "0");
+            (Json.Int (-42), "-42");
+            (Json.Int 1_059_374, "1059374");
+            (Json.Float 2.0, "2");
+            (Json.Float 0.1, "0.1");
+            (Json.Float 1234567.0, "1.23457e+06");
+            (Json.Float (-3.25e-7), "-3.25e-07");
+          ]);
+    Alcotest.test_case "objects and lists nest" `Quick (fun () ->
+        let v =
+          Json.Obj
+            [
+              ("a", Json.List [ Json.Int 1; Json.Obj [ ("b", Json.Null) ] ]);
+              ("c", Json.Bool true);
+              ("d", Json.List []);
+              ("e", Json.Obj [ ("f", Json.String "g"); ("h", Json.Bool false) ]);
+            ]
+        in
+        let text = Json.to_string v in
+        check Alcotest.string "compact"
+          {|{"a":[1,{"b":null}],"c":true,"d":[],"e":{"f":"g","h":false}}|} text;
+        check Alcotest.bool "parses back to the same tree" true
+          (J.parse text = expected v));
+    Alcotest.test_case "table names are distinct and resolve" `Quick
+      (fun () ->
+        check Alcotest.int "16 entries" 16 (List.length E.table);
+        check Alcotest.int "distinct" (List.length E.names)
+          (List.length (List.sort_uniq compare E.names));
+        List.iter
+          (fun n ->
+            check Alcotest.bool n true
+              (Option.map (fun (e : E.entry) -> e.name) (E.find n) = Some n))
+          E.names;
+        check Alcotest.bool "unknown" true (E.find "nosuch" = None));
+    Alcotest.test_case "the full document has every entry, each of a known kind"
+      `Slow (fun () ->
+        let doc =
+          J.parse (R.document (List.map R.experiment_section E.table))
+        in
+        check (Alcotest.list Alcotest.string) "members in table order" E.names
+          (keys doc);
+        List.iter
+          (fun (e : E.entry) ->
+            let sec = member_exn e.name doc in
+            let k = J.str (member_exn "kind" sec) in
+            check Alcotest.bool (e.name ^ " kind " ^ k) true
+              (List.mem k known_kinds);
+            check Alcotest.string "title" e.title
+              (J.str (member_exn "title" sec)))
+          E.table);
+    Alcotest.test_case "an experiment document parses with its keys" `Quick
+      (fun () ->
+        let e = Option.get (E.find "table1") in
+        let doc = J.parse (R.document [ R.experiment_section e ]) in
+        check (Alcotest.list Alcotest.string) "one section" [ "table1" ]
+          (keys doc);
+        let sec = member_exn "table1" doc in
+        check (Alcotest.list Alcotest.string) "envelope"
+          [ "kind"; "title"; "data" ] (keys sec);
+        check Alcotest.string "kind" "latency" (J.str (member_exn "kind" sec));
+        check Alcotest.string "title" e.title (J.str (member_exn "title" sec));
+        let rows = J.arr (member_exn "data" sec) in
+        check Alcotest.int "three systems" 3 (List.length rows);
+        List.iter
+          (fun r ->
+            check (Alcotest.list Alcotest.string) "row keys"
+              [
+                "system";
+                "null_fork_us";
+                "signal_wait_us";
+                "paper_null_fork";
+                "paper_signal_wait";
+              ]
+              (keys r))
+          rows);
+    Alcotest.test_case "serve and cluster summaries encode" `Quick (fun () ->
+        let serve =
+          E.serve
+            ~params:
+              {
+                Sa_workload.Server.default_mt_params with
+                Sa_workload.Server.mt_tenants = 3;
+                mt_requests = 10;
+              }
+            ~cpus:8 ~tracing:false ()
+        in
+        let module C = Sa_cluster.Cluster in
+        let cl =
+          C.create
+            {
+              C.default_params with
+              C.machines = 2;
+              cpus = 4;
+              tenants = 3;
+              requests = 10;
+            }
+        in
+        C.run cl;
+        let doc =
+          J.parse
+            (R.document
+               [
+                 R.section ~name:"serve" ~kind:"serve" ~title:"s"
+                   (R.serve_json serve);
+                 R.section ~name:"cluster" ~kind:"cluster" ~title:"c"
+                   (R.cluster_json (C.summary cl));
+               ])
+        in
+        check (Alcotest.list Alcotest.string) "sections" [ "serve"; "cluster" ]
+          (keys doc);
+        let data name = member_exn "data" (member_exn name doc) in
+        let s = data "serve" in
+        check Alcotest.int "serve tenants" 3
+          (int_of_float (J.num (member_exn "tenants" s)));
+        let tenants = J.arr (member_exn "per_tenant" s) in
+        check Alcotest.int "serve rows" 3 (List.length tenants);
+        List.iter
+          (fun r ->
+            List.iter
+              (fun k -> ignore (member_exn k r))
+              [ "tenant"; "class"; "completed"; "p99_us"; "slo_ms"; "violations" ])
+          tenants;
+        let c = data "cluster" in
+        check Alcotest.int "machines" 2
+          (int_of_float (J.num (member_exn "machines" c)));
+        check Alcotest.bool "completed_all" true
+          (member_exn "completed_all" c = J.Bool true);
+        check Alcotest.int "machine rows" 2
+          (List.length (J.arr (member_exn "per_machine" c)));
+        check Alcotest.int "tenant rows" 3
+          (List.length (J.arr (member_exn "per_tenant" c))));
   ]
 
 let protocol_tests =
@@ -190,6 +383,7 @@ let () =
     [
       ("runners", runner_tests);
       ("report", report_tests);
+      ("results", json_tests);
       ("extensions", extension_tests);
       ("protocol", protocol_tests);
       ("retrospective", retrospective_tests);
