@@ -25,11 +25,11 @@
      bench/main.exe all             paper harness + micro-benchmarks
      bench/main.exe scale           32/64-CPU, ~10k-thread fork-join stress
      bench/main.exe serve           24-tenant serving with per-tenant SLOs
-     bench/main.exe --json [NAMES]  paper harness (or NAMES) as JSON
-     bench/main.exe --json scale    scale stress as JSON (wall time on stderr)
-     bench/main.exe --json serve    serving SLO report as JSON (deterministic)
      bench/main.exe cluster         3-machine cluster serving run
-     bench/main.exe --json cluster  cluster run as JSON (deterministic) *)
+     bench/main.exe --json [NAMES]  paper harness (or NAMES) as one JSON
+                                    document; NAMES may mix experiments with
+                                    scale (wall time on stderr), serve and
+                                    cluster (both deterministic) *)
 
 module E = Sa_metrics.Experiments
 module R = Sa_metrics.Report
@@ -672,6 +672,31 @@ let find_experiment ~also name =
         also;
       exit 2
 
+(* The JSON sections for one command-line name; a document holds the
+   sections of every name given, in order. *)
+let json_sections = function
+  | "paper" | "all" -> List.map R.experiment_section E.table
+  | "scale" ->
+      [
+        R.section ~name:"scale" ~kind:"scale" ~title:scale_title
+          (scale_json (run_scale ()));
+      ]
+  | "serve" ->
+      [
+        R.section ~name:"serve" ~kind:"serve" ~title:serve_title
+          (R.serve_json (run_serve ()));
+      ]
+  | "cluster" ->
+      [
+        R.section ~name:"cluster" ~kind:"cluster" ~title:cluster_title
+          (R.cluster_json (run_cluster ()));
+      ]
+  | name ->
+      [
+        R.experiment_section
+          (find_experiment ~also:", paper, all, scale, serve, cluster" name);
+      ]
+
 let () =
   (* A roomier minor heap (2M words = 16 MB) keeps short-lived per-event
      values — closures, trace details, list spines — from being promoted
@@ -689,26 +714,8 @@ let () =
   let args = List.filter (fun a -> a <> "--json") args in
   if json then
     let sections =
-      match args with
-      | [ "scale" ] ->
-          [
-            R.section ~name:"scale" ~kind:"scale" ~title:scale_title
-              (scale_json (run_scale ()));
-          ]
-      | [ "serve" ] ->
-          [
-            R.section ~name:"serve" ~kind:"serve" ~title:serve_title
-              (R.serve_json (run_serve ()));
-          ]
-      | [ "cluster" ] ->
-          [
-            R.section ~name:"cluster" ~kind:"cluster" ~title:cluster_title
-              (R.cluster_json (run_cluster ()));
-          ]
-      | [] | [ "paper" ] | [ "all" ] -> List.map R.experiment_section E.table
-      | names ->
-          List.map R.experiment_section
-            (List.map (find_experiment ~also:"") names)
+      List.concat_map json_sections
+        (match args with [] -> [ "paper" ] | names -> names)
     in
     print_string (R.document sections)
   else

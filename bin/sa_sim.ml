@@ -65,6 +65,17 @@ let kconfig_of = function
   | Sa -> Kconfig.default
   | Orig_ft | Topaz | Ultrix -> Kconfig.native
 
+(* Parse [--inject] names; an unknown kind is a domain error (exit 2). *)
+let injector_kinds names =
+  List.map
+    (fun n ->
+      match Sa_fault.Injector.kind_of_name n with
+      | Some k -> k
+      | None ->
+          Printf.eprintf "unknown injector kind %S\n" n;
+          exit 2)
+    names
+
 let system_backend cpus = function
   | Sa -> `Fastthreads_on_sa
   | Orig_ft -> `Fastthreads_on_kthreads cpus
@@ -485,16 +496,6 @@ let cluster_cmd =
       match kinds with
       | None | Some [] -> None
       | Some names ->
-          let kinds =
-            List.map
-              (fun n ->
-                match Injector.kind_of_name n with
-                | Some k -> k
-                | None ->
-                    Printf.eprintf "unknown injector kind %S\n" n;
-                    exit 2)
-              names
-          in
           let hooks =
             {
               Injector.ch_machines = machines;
@@ -504,10 +505,8 @@ let cluster_cmd =
             }
           in
           Some
-            (Injector.attach
-               ~config:{ Injector.default with Injector.kinds }
-               ~cluster:hooks ~seed:chaos_seed
-               (Cluster.systems cl).(0))
+            (Injector.attach ~kinds:(injector_kinds names) ~cluster:hooks
+               ~seed:chaos_seed (Cluster.systems cl).(0))
     in
     Cluster.run cl;
     R.print_cluster ~title:"Cluster serving: multi-machine report"
@@ -728,160 +727,20 @@ let chaos_cmd =
              deliberate bug seed and must be named explicitly; the two \
              cluster kinds only act under $(b,sa_sim cluster)).")
   in
-  (* One flag per injector-config field, defaulting to Injector.default, so
-     a failing run's replay line can name every non-default knob. *)
-  let d = Injector.default in
-  let fopt names default doc =
-    Arg.(value & opt float default & info names ~docv:"X" ~doc)
-  in
-  let iopt names default doc =
-    Arg.(value & opt int default & info names ~docv:"N" ~doc)
-  in
-  let preempt_gap_arg =
-    fopt [ "preempt-gap-us" ] d.Injector.preempt_gap_us
-      "Mean gap between forced preemptions (us)."
-  in
-  let spurious_prob_arg =
-    fopt [ "spurious-prob" ] d.Injector.spurious_prob
-      "Chance a preemption tick also fires a spurious completion."
-  in
-  let io_fault_prob_arg =
-    fopt [ "io-fault-prob" ] d.Injector.io_fault_prob
-      "Per-completion chance of an injected I/O fault."
-  in
-  let io_delay_arg =
-    fopt [ "io-delay-us" ]
-      (Time.span_to_us d.Injector.io_delay)
-      "Magnitude of an injected completion delay (us)."
-  in
-  let cache_fault_prob_arg =
-    fopt [ "cache-fault-prob" ] d.Injector.cache_fault_prob
-      "Per-hit chance of a cache invalidation."
-  in
-  let storm_gap_arg =
-    fopt [ "storm-gap-us" ] d.Injector.storm_gap_us
-      "Mean gap between daemon storms (us)."
-  in
-  let storm_size_arg =
-    iopt [ "storm-size" ] d.Injector.storm_size
-      "Kernel threads per daemon storm."
-  in
-  let storm_burst_arg =
-    fopt [ "storm-burst-us" ]
-      (Time.span_to_us d.Injector.storm_burst)
-      "Compute burst of each storm thread (us)."
-  in
-  let flap_gap_arg =
-    fopt [ "flap-gap-us" ] d.Injector.flap_gap_us
-      "Mean gap between priority flaps (us)."
-  in
-  let flap_hold_arg =
-    fopt [ "flap-hold-us" ]
-      (Time.span_to_us d.Injector.flap_hold)
-      "How long a boosted priority is held (us)."
-  in
-  let churn_gap_arg =
-    fopt [ "churn-gap-us" ] d.Injector.churn_gap_us
-      "Mean gap between transient space arrivals (us)."
-  in
-  let drop_gap_arg =
-    fopt [ "drop-gap-us" ] d.Injector.drop_gap_us
-      "Mean gap between armed reallocation drops (demand-drop kind, us)."
-  in
-  let crash_gap_arg =
-    fopt [ "crash-gap-us" ] d.Injector.crash_gap_us
-      "Mean gap between machine-crash attempts (cluster runs, us)."
-  in
-  let partition_gap_arg =
-    fopt [ "partition-gap-us" ] d.Injector.partition_gap_us
-      "Mean gap between link-cut attempts (cluster runs, us)."
-  in
-  let partition_hold_arg =
-    fopt [ "partition-hold-us" ]
-      (Time.span_to_us d.Injector.partition_hold)
-      "How long a cut link stays down (us)."
-  in
-  let action cpus seeds base_seed mode kinds preempt_gap spurious_prob
-      io_fault_prob io_delay cache_fault_prob storm_gap storm_size
-      storm_burst flap_gap flap_hold churn_gap drop_gap crash_gap
-      partition_gap partition_hold =
+  let action cpus seeds base_seed mode kinds =
     let kinds =
       match kinds with
-      | None -> d.Injector.kinds
-      | Some names ->
-          List.map
-            (fun n ->
-              match Injector.kind_of_name n with
-              | Some k -> k
-              | None ->
-                  Printf.eprintf "unknown injector kind %S\n" n;
-                  exit 2)
-            names
+      | None -> Injector.survivable_kinds
+      | Some names -> injector_kinds names
     in
-    let injector =
-      {
-        Injector.kinds;
-        preempt_gap_us = preempt_gap;
-        spurious_prob;
-        io_fault_prob;
-        io_delay = Time.us_f io_delay;
-        cache_fault_prob;
-        storm_gap_us = storm_gap;
-        storm_size;
-        storm_burst = Time.us_f storm_burst;
-        flap_gap_us = flap_gap;
-        flap_hold = Time.us_f flap_hold;
-        churn_gap_us = churn_gap;
-        drop_gap_us = drop_gap;
-        crash_gap_us = crash_gap;
-        partition_gap_us = partition_gap;
-        partition_hold = Time.us_f partition_hold;
-      }
+    (* The replay line names the kinds only when they differ from the
+       default; every other injector setting is fixed. *)
+    let inject_flag =
+      if kinds = Injector.survivable_kinds then ""
+      else
+        " --inject " ^ String.concat "," (List.map Injector.kind_name kinds)
     in
-    (* Every injector knob that differs from the default, as flags — so the
-       printed replay line reproduces the run exactly. *)
-    let injector_flags =
-      let b = Buffer.create 64 in
-      let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-      if injector.Injector.kinds <> d.Injector.kinds then
-        add " --inject %s"
-          (String.concat ","
-             (List.map Injector.kind_name injector.Injector.kinds));
-      if injector.Injector.preempt_gap_us <> d.Injector.preempt_gap_us then
-        add " --preempt-gap-us %g" injector.Injector.preempt_gap_us;
-      if injector.Injector.spurious_prob <> d.Injector.spurious_prob then
-        add " --spurious-prob %g" injector.Injector.spurious_prob;
-      if injector.Injector.io_fault_prob <> d.Injector.io_fault_prob then
-        add " --io-fault-prob %g" injector.Injector.io_fault_prob;
-      if injector.Injector.io_delay <> d.Injector.io_delay then
-        add " --io-delay-us %g" (Time.span_to_us injector.Injector.io_delay);
-      if injector.Injector.cache_fault_prob <> d.Injector.cache_fault_prob
-      then add " --cache-fault-prob %g" injector.Injector.cache_fault_prob;
-      if injector.Injector.storm_gap_us <> d.Injector.storm_gap_us then
-        add " --storm-gap-us %g" injector.Injector.storm_gap_us;
-      if injector.Injector.storm_size <> d.Injector.storm_size then
-        add " --storm-size %d" injector.Injector.storm_size;
-      if injector.Injector.storm_burst <> d.Injector.storm_burst then
-        add " --storm-burst-us %g"
-          (Time.span_to_us injector.Injector.storm_burst);
-      if injector.Injector.flap_gap_us <> d.Injector.flap_gap_us then
-        add " --flap-gap-us %g" injector.Injector.flap_gap_us;
-      if injector.Injector.flap_hold <> d.Injector.flap_hold then
-        add " --flap-hold-us %g" (Time.span_to_us injector.Injector.flap_hold);
-      if injector.Injector.churn_gap_us <> d.Injector.churn_gap_us then
-        add " --churn-gap-us %g" injector.Injector.churn_gap_us;
-      if injector.Injector.drop_gap_us <> d.Injector.drop_gap_us then
-        add " --drop-gap-us %g" injector.Injector.drop_gap_us;
-      if injector.Injector.crash_gap_us <> d.Injector.crash_gap_us then
-        add " --crash-gap-us %g" injector.Injector.crash_gap_us;
-      if injector.Injector.partition_gap_us <> d.Injector.partition_gap_us
-      then add " --partition-gap-us %g" injector.Injector.partition_gap_us;
-      if injector.Injector.partition_hold <> d.Injector.partition_hold then
-        add " --partition-hold-us %g"
-          (Time.span_to_us injector.Injector.partition_hold);
-      Buffer.contents b
-    in
-    let config = { Campaign.default with Campaign.cpus; injector } in
+    let config = { Campaign.default with Campaign.cpus; kinds } in
     let modes =
       match mode with
       | `Both -> [ Kconfig.Explicit_allocation; Kconfig.Native_oblivious ]
@@ -908,7 +767,7 @@ let chaos_cmd =
              %d%s\n"
             r.Campaign.seed
             (Campaign.mode_name r.Campaign.mode)
-            cpus injector_flags;
+            cpus inject_flag;
           match r.Campaign.outcome with
           | Campaign.Violation msg | Campaign.No_completion msg ->
               print_newline ();
@@ -921,11 +780,7 @@ let chaos_cmd =
   let term =
     Term.(
       const action $ cpus_arg $ seeds_arg $ base_seed_arg $ mode_arg
-      $ kinds_arg $ preempt_gap_arg $ spurious_prob_arg $ io_fault_prob_arg
-      $ io_delay_arg $ cache_fault_prob_arg $ storm_gap_arg $ storm_size_arg
-      $ storm_burst_arg $ flap_gap_arg $ flap_hold_arg $ churn_gap_arg
-      $ drop_gap_arg $ crash_gap_arg $ partition_gap_arg
-      $ partition_hold_arg)
+      $ kinds_arg)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1015,13 +870,6 @@ let explore_cmd =
             "Comma-separated injector kinds (as for $(b,sa_sim chaos)).  \
              Name $(b,demand-drop) here to seed a findable \
              lost-reallocation violation.  Default: every survivable kind.")
-  in
-  let drop_gap_arg =
-    Arg.(
-      value
-      & opt float Sa_fault.Injector.default.Sa_fault.Injector.drop_gap_us
-      & info [ "drop-gap-us" ] ~docv:"X"
-          ~doc:"Mean gap between armed reallocation drops (us).")
   in
   let replay_arg =
     Arg.(
@@ -1230,22 +1078,14 @@ let explore_cmd =
         end
   in
   let action workload schedules strategy depth seed cpus requests horizon_ms
-      no_inject inject_kinds drop_gap replay_file do_shrink out save =
+      no_inject inject_kinds replay_file do_shrink out save =
     match replay_file with
     | Some file -> do_replay file
     | None ->
         let inject_kinds =
           match inject_kinds with
           | None -> Search.default_spec.Search.inject_kinds
-          | Some names ->
-              List.map
-                (fun n ->
-                  match Sa_fault.Injector.kind_of_name n with
-                  | Some k -> k
-                  | None ->
-                      Printf.eprintf "unknown injector kind %S\n" n;
-                      exit 2)
-                names
+          | Some names -> injector_kinds names
         in
         let spec =
           {
@@ -1256,7 +1096,6 @@ let explore_cmd =
             horizon = Time.ms horizon_ms;
             inject = not no_inject;
             inject_kinds;
-            drop_gap_us = drop_gap;
           }
         in
         let strategy =
@@ -1270,7 +1109,7 @@ let explore_cmd =
     Term.(
       const action $ workload_arg $ schedules_arg $ strategy_arg $ depth_arg
       $ seed_arg $ cpus_arg $ requests_arg $ horizon_arg $ no_inject_arg
-      $ inject_kinds_arg $ drop_gap_arg $ replay_arg $ shrink_arg $ out_arg
+      $ inject_kinds_arg $ replay_arg $ shrink_arg $ out_arg
       $ save_arg)
   in
   Cmd.v

@@ -75,7 +75,7 @@ let machine t = t.machine
 let costs t = t.costs
 
 let submit t ~backend ~name ?cache_capacity ?(prewarm_cache = true) ?disk
-    ?(strategy = Ft_core.Copy_sections) ?sched_policy ?parallelism
+    ?(strategy = Ft_core.Copy_sections) ?parallelism
     ?(space_priority = 0) ?observer ?trace_sink prog =
   (match trace_sink with
   | Some sink -> Sa_engine.Trace.add_sink (Sim.trace t.sim) sink
@@ -100,32 +100,29 @@ let submit t ~backend ~name ?cache_capacity ?(prewarm_cache = true) ?disk
     match backend with
     | `Fastthreads_on_sa ->
         let ft =
-          Ft_sa.create t.kernel ~name ~priority:space_priority
-            ?policy:sched_policy ?cache ?io_dev ~strategy
-            ?max_procs:parallelism ?observer ~on_done ()
+          Ft_sa.create t.kernel ~name ~priority:space_priority ?cache ?io_dev
+            ~strategy ?max_procs:parallelism ?observer ~on_done ()
         in
         Ft_sa.start ft prog;
         J_ft_sa ft
     | `Fastthreads_on_kthreads vps ->
         let ft =
-          Ft_kt.create t.kernel ~name ~vps ~priority:space_priority
-            ?policy:sched_policy ?cache ?io_dev ~strategy ?observer ~on_done ()
+          Ft_kt.create t.kernel ~name ~vps ~priority:space_priority ?cache
+            ?io_dev ~strategy ?observer ~on_done ()
         in
         Ft_kt.start ft prog;
         J_ft_kt ft
     | `Topaz_kthreads ->
         let d =
           Kt_direct.create t.kernel ~name ~flavor:`Topaz
-            ~priority:space_priority ?policy:sched_policy ?cache ?io_dev
-            ?observer ~on_done ()
+            ~priority:space_priority ?cache ?io_dev ?observer ~on_done ()
         in
         Kt_direct.start d prog;
         J_direct d
     | `Ultrix_processes ->
         let d =
           Kt_direct.create t.kernel ~name ~flavor:`Ultrix
-            ~priority:space_priority ?policy:sched_policy ?cache ?io_dev
-            ?observer ~on_done ()
+            ~priority:space_priority ?cache ?io_dev ?observer ~on_done ()
         in
         Kt_direct.start d prog;
         J_direct d

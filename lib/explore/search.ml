@@ -20,7 +20,6 @@ type spec = {
   horizon : Time.span;
   inject : bool;
   inject_kinds : Injector.kind list;
-  drop_gap_us : float;
 }
 
 let default_spec =
@@ -31,15 +30,7 @@ let default_spec =
     requests = 40;
     horizon = Time.s 10;
     inject = true;
-    inject_kinds = Injector.default.Injector.kinds;
-    drop_gap_us = Injector.default.Injector.drop_gap_us;
-  }
-
-let injector_config spec =
-  {
-    Injector.default with
-    Injector.kinds = spec.inject_kinds;
-    drop_gap_us = spec.drop_gap_us;
+    inject_kinds = Injector.survivable_kinds;
   }
 
 let workload_name = function Server -> "server" | Chaos -> "chaos"
@@ -154,7 +145,7 @@ let run_server ?chooser ?trace_sink ?(on_job = fun _ _ -> ()) spec =
   let inj =
     if spec.inject then
       Some
-        (Injector.attach ~config:(injector_config spec) ~seed:spec.seed sys)
+        (Injector.attach ~kinds:spec.inject_kinds ~seed:spec.seed sys)
     else None
   in
   let outcome =
@@ -189,8 +180,8 @@ let run_chaos ?chooser ?trace_sink spec =
     install (System.sim sys) ~chooser ~trace_sink adj
   in
   let config =
-    { Campaign.default with Campaign.cpus = spec.cpus;
-      horizon = spec.horizon; injector = injector_config spec }
+    { Campaign.cpus = spec.cpus; horizon = spec.horizon;
+      kinds = spec.inject_kinds }
   in
   let r =
     Campaign.run_seed ~config ~on_system ~mode:Kconfig.Explicit_allocation
@@ -248,7 +239,6 @@ let meta_of_spec spec ~strategy =
     ("inject", string_of_bool spec.inject);
     ( "inject_kinds",
       String.concat "," (List.map Injector.kind_name spec.inject_kinds) );
-    ("drop_gap_us", Printf.sprintf "%g" spec.drop_gap_us);
     ("strategy", strategy);
   ]
 
@@ -279,10 +269,6 @@ let spec_of_meta meta =
           String.split_on_char ',' v
           |> List.filter_map Injector.kind_of_name
       | None -> d.inject_kinds);
-    drop_gap_us =
-      (match Option.bind (find "drop_gap_us") float_of_string_opt with
-      | Some g -> g
-      | None -> d.drop_gap_us);
   }
 
 (* --- search loop ------------------------------------------------------ *)

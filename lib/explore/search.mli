@@ -27,7 +27,6 @@ type spec = {
   inject : bool;  (** attach the fault injector (server workload) *)
   inject_kinds : Sa_fault.Injector.kind list;
       (** fault mix; add [Demand_drop] to seed a findable violation *)
-  drop_gap_us : float;  (** mean gap between armed reallocation drops *)
 }
 
 val default_spec : spec
@@ -96,7 +95,8 @@ val meta_of_spec : spec -> strategy:string -> (string * string) list
 
 val spec_of_meta : (string * string) list -> spec
 (** Reconstruct a spec from a schedule header, falling back to
-    {!default_spec} for missing fields. *)
+    {!default_spec} for missing fields.  Unknown keys are ignored, such
+    as the [drop_gap_us] that headers written by older builds carry. *)
 
 (** {1 Search} *)
 

@@ -7,20 +7,10 @@ module Program = Sa_program.Program
 module System = Sa.System
 module B = Program.Build
 
-type config = {
-  cpus : int;
-  horizon : Time.span;
-  audit_period : Time.span;
-  injector : Injector.config;
-}
+type config = { cpus : int; horizon : Time.span; kinds : Injector.kind list }
 
 let default =
-  {
-    cpus = 4;
-    horizon = Time.s 10;
-    audit_period = Time.ms 1;
-    injector = Injector.default;
-  }
+  { cpus = 4; horizon = Time.s 10; kinds = Injector.survivable_kinds }
 
 type outcome =
   | Completed of Time.span
@@ -108,6 +98,7 @@ let synth_program rng ~blocks =
 
 let cache_capacity = 32
 let cache_blocks = 64
+let audit_period = Time.ms 1
 
 let run_seed ?(config = default) ?(on_system = fun _ -> ()) ~mode seed =
   let kcfg =
@@ -144,10 +135,9 @@ let run_seed ?(config = default) ?(on_system = fun _ -> ()) ~mode seed =
   ignore app;
   ignore side;
   let checker =
-    Invariant.attach ~period:config.audit_period
-      ~label:(mode_name mode) ~seed sys
+    Invariant.attach ~period:audit_period ~label:(mode_name mode) ~seed sys
   in
-  let injector = Injector.attach ~config:config.injector ~seed sys in
+  let injector = Injector.attach ~kinds:config.kinds ~seed sys in
   let outcome =
     match System.run ~horizon:config.horizon sys with
     | () ->

@@ -39,44 +39,25 @@ let kind_name = function
 
 let kind_of_name s = List.find_opt (fun k -> kind_name k = s) all_kinds
 
-type config = {
-  kinds : kind list;
-  preempt_gap_us : float;
-  spurious_prob : float;
-  io_fault_prob : float;
-  io_delay : Time.span;
-  cache_fault_prob : float;
-  storm_gap_us : float;
-  storm_size : int;
-  storm_burst : Time.span;
-  flap_gap_us : float;
-  flap_hold : Time.span;
-  churn_gap_us : float;
-  drop_gap_us : float;
-  crash_gap_us : float;
-  partition_gap_us : float;
-  partition_hold : Time.span;
-}
-
-let default =
-  {
-    kinds = survivable_kinds;
-    preempt_gap_us = 300.0;
-    spurious_prob = 0.15;
-    io_fault_prob = 0.2;
-    io_delay = Time.us 400;
-    cache_fault_prob = 0.05;
-    storm_gap_us = 3_000.0;
-    storm_size = 3;
-    storm_burst = Time.us 200;
-    flap_gap_us = 2_000.0;
-    flap_hold = Time.ms 1;
-    churn_gap_us = 4_000.0;
-    drop_gap_us = 2_000.0;
-    crash_gap_us = 20_000.0;
-    partition_gap_us = 8_000.0;
-    partition_hold = Time.ms 2;
-  }
+(* Fixed tuning: aggressive enough to preempt several times per
+   millisecond of simulated time and to fault a noticeable fraction of I/O
+   completions.  A [*_gap_us] is the mean of an exponentially distributed
+   wait between two events of its kind. *)
+let preempt_gap_us = 300.0
+let spurious_prob = 0.15 (* per preemption tick: a spurious completion *)
+let io_fault_prob = 0.2 (* per I/O completion: half errors, half delays *)
+let io_delay = Time.us 400
+let cache_fault_prob = 0.05 (* per cache hit: an invalidation *)
+let storm_gap_us = 3_000.0
+let storm_size = 3 (* kernel threads per daemon storm *)
+let storm_burst = Time.us 200
+let flap_gap_us = 2_000.0
+let flap_hold = Time.ms 1
+let churn_gap_us = 4_000.0
+let drop_gap_us = 2_000.0
+let crash_gap_us = 20_000.0
+let partition_gap_us = 8_000.0
+let partition_hold = Time.ms 2
 
 type cluster_hooks = {
   ch_machines : int;
@@ -87,7 +68,6 @@ type cluster_hooks = {
 
 type t = {
   sys : System.t;
-  cfg : config;
   cluster : cluster_hooks option;
   mutable n_preempts : int;
   mutable n_spurious : int;
@@ -147,10 +127,10 @@ let recurring t rng ~mean_us action =
 let install_preempt t rng =
   let kern = System.kernel t.sys in
   let cpus = Sa_hw.Machine.cpu_count (System.machine t.sys) in
-  recurring t rng ~mean_us:t.cfg.preempt_gap_us (fun () ->
+  recurring t rng ~mean_us:preempt_gap_us (fun () ->
       if Kernel.chaos_preempt kern ~cpu:(Rng.int rng cpus) then
         t.n_preempts <- t.n_preempts + 1;
-      if Rng.float rng 1.0 < t.cfg.spurious_prob then
+      if Rng.float rng 1.0 < spurious_prob then
         if Kernel.chaos_spurious_completion kern ~pick:(Rng.int rng 1_000_000)
         then t.n_spurious <- t.n_spurious + 1)
 
@@ -158,20 +138,19 @@ let install_preempt t rng =
 
 let install_io_faults t rng =
   let kern = System.kernel t.sys in
-  let prob = t.cfg.io_fault_prob in
   t.cleanups <-
     (fun () -> Kernel.set_io_fault_injector kern None) :: t.cleanups;
   Kernel.set_io_fault_injector kern
     (Some
        (fun () ->
          let x = Rng.float rng 1.0 in
-         if x < prob /. 2.0 then begin
+         if x < io_fault_prob /. 2.0 then begin
            t.n_io_faults <- t.n_io_faults + 1;
            Some Kernel.Io_transient_error
          end
-         else if x < prob then begin
+         else if x < io_fault_prob then begin
            t.n_io_faults <- t.n_io_faults + 1;
-           Some (Kernel.Io_delay t.cfg.io_delay)
+           Some (Kernel.Io_delay io_delay)
          end
          else None));
   List.iter
@@ -184,7 +163,7 @@ let install_io_faults t rng =
           Buffer_cache.set_chaos_hook cache
             (Some
                (fun () ->
-                 if Rng.float crng 1.0 < t.cfg.cache_fault_prob then begin
+                 if Rng.float crng 1.0 < cache_fault_prob then begin
                    t.n_cache_faults <- t.n_cache_faults + 1;
                    true
                  end
@@ -200,13 +179,13 @@ let install_io_faults t rng =
             (Some
                (fun () ->
                  let x = Rng.float drng 1.0 in
-                 if x < prob /. 2.0 then begin
+                 if x < io_fault_prob /. 2.0 then begin
                    t.n_io_faults <- t.n_io_faults + 1;
                    Some Io_device.Fault_transient_error
                  end
-                 else if x < prob then begin
+                 else if x < io_fault_prob then begin
                    t.n_io_faults <- t.n_io_faults + 1;
-                   Some (Io_device.Fault_delay t.cfg.io_delay)
+                   Some (Io_device.Fault_delay io_delay)
                  end
                  else None))
       | None -> ())
@@ -217,14 +196,14 @@ let install_io_faults t rng =
 let install_daemon_storm t rng =
   let kern = System.kernel t.sys in
   let storm_sp = Kernel.new_kthread_space kern ~name:"chaos-storm" ~priority:5 () in
-  recurring t rng ~mean_us:t.cfg.storm_gap_us (fun () ->
+  recurring t rng ~mean_us:storm_gap_us (fun () ->
       t.n_storms <- t.n_storms + 1;
-      for i = 1 to t.cfg.storm_size do
+      for i = 1 to storm_size do
         ignore
           (Kernel.spawn_kthread kern storm_sp
              ~name:(Printf.sprintf "storm-%d" i)
              ~body:(fun ops ->
-               ops.Kernel.kt_charge t.cfg.storm_burst (fun () ->
+               ops.Kernel.kt_charge storm_burst (fun () ->
                    ops.Kernel.kt_exit ()))
              ())
       done)
@@ -238,14 +217,14 @@ let install_priority_flap t rng =
     List.map (fun j -> System.space j) (System.jobs t.sys) |> Array.of_list
   in
   if Array.length spaces > 0 then
-    recurring t rng ~mean_us:t.cfg.flap_gap_us (fun () ->
+    recurring t rng ~mean_us:flap_gap_us (fun () ->
         let sp = spaces.(Rng.int rng (Array.length spaces)) in
         t.n_flaps <- t.n_flaps + 1;
         (* Boost then always restore: a flap perturbs the allocator twice
            without permanently starving the other spaces. *)
         Kernel.set_space_priority kern sp (1 + Rng.int rng 2);
         ignore
-          (Sim.schedule_after sim ~delay:t.cfg.flap_hold (fun () ->
+          (Sim.schedule_after sim ~delay:flap_hold (fun () ->
                Kernel.set_space_priority kern sp 0)))
 
 (* --- Demand_drop: lost reallocation requests (a seeded bug) ----------- *)
@@ -254,7 +233,7 @@ let install_demand_drop t rng =
   let kern = System.kernel t.sys in
   t.cleanups <-
     (fun () -> Kernel.set_chaos_realloc_drop kern false) :: t.cleanups;
-  recurring t rng ~mean_us:t.cfg.drop_gap_us (fun () ->
+  recurring t rng ~mean_us:drop_gap_us (fun () ->
       t.n_drops <- t.n_drops + 1;
       Kernel.set_chaos_realloc_drop kern true)
 
@@ -269,7 +248,7 @@ let install_machine_crash t rng =
   match t.cluster with
   | None -> ()
   | Some h ->
-      recurring t rng ~mean_us:t.cfg.crash_gap_us (fun () ->
+      recurring t rng ~mean_us:crash_gap_us (fun () ->
           if h.ch_crash (Rng.int rng h.ch_machines) then
             t.n_crashes <- t.n_crashes + 1)
 
@@ -277,19 +256,19 @@ let install_net_partition t rng =
   match t.cluster with
   | None -> ()
   | Some h ->
-      recurring t rng ~mean_us:t.cfg.partition_gap_us (fun () ->
+      recurring t rng ~mean_us:partition_gap_us (fun () ->
           (* always burn both draws so refused pairs don't shift the
              stream *)
           let a = Rng.int rng h.ch_machines in
           let b = Rng.int rng h.ch_machines in
-          if a <> b && h.ch_partition a b ~hold:t.cfg.partition_hold then
+          if a <> b && h.ch_partition a b ~hold:partition_hold then
             t.n_partitions <- t.n_partitions + 1)
 
 (* --- Space_churn: transient address spaces -------------------------- *)
 
 let install_space_churn t rng =
   let kern = System.kernel t.sys in
-  recurring t rng ~mean_us:t.cfg.churn_gap_us (fun () ->
+  recurring t rng ~mean_us:churn_gap_us (fun () ->
       t.n_churns <- t.n_churns + 1;
       let sp =
         Kernel.new_kthread_space kern
@@ -307,11 +286,10 @@ let install_space_churn t rng =
              ())
       done)
 
-let attach ?(config = default) ?cluster ~seed sys =
+let attach ?(kinds = survivable_kinds) ?cluster ~seed sys =
   let t =
     {
       sys;
-      cfg = config;
       cluster;
       n_preempts = 0;
       n_spurious = 0;
@@ -337,7 +315,7 @@ let attach ?(config = default) ?cluster ~seed sys =
   let streams = List.map (fun k -> (k, Rng.split root)) all_kinds in
   List.iter
     (fun (k, rng) ->
-      if List.mem k config.kinds then begin
+      if List.mem k kinds then begin
         let site = "inject:" ^ kind_name k in
         Rng.interpose rng
           (Some (fun default -> Sim.draw sim ~site ~default));

@@ -10,10 +10,12 @@
 
     Every random choice draws from a dedicated splitmix64 stream derived
     from the attach seed, one independent stream per injector kind — the
-    injected schedule is a pure function of [(seed, kinds, config)], so a
-    violating run replays exactly from its printed seed.  Injection stops
-    by itself once every job has finished, so {!Sa.System.run}'s
-    completion predicate still terminates. *)
+    injected schedule is a pure function of [(seed, kinds)], so a
+    violating run replays exactly from its printed seed.  Rates and
+    magnitudes are fixed constants: several forced preemptions per
+    millisecond of simulated time and a fault on a fifth of I/O
+    completions.  Injection stops by itself once every job has finished,
+    so {!Sa.System.run}'s completion predicate still terminates. *)
 
 module Time = Sa_engine.Time
 
@@ -39,39 +41,14 @@ type kind =
 
 val survivable_kinds : kind list
 (** The five fault kinds the system is expected to absorb — the default
-    mix. *)
+    mix of {!attach}.  {!Demand_drop} is a bug seed and the two cluster
+    kinds need a cluster, so all three must be asked for. *)
 
 (** {!survivable_kinds} plus {!Demand_drop}, {!Machine_crash} and
     {!Net_partition}. *)
 val all_kinds : kind list
 val kind_name : kind -> string
 val kind_of_name : string -> kind option
-
-type config = {
-  kinds : kind list;
-  preempt_gap_us : float;  (** mean gap between forced preemptions *)
-  spurious_prob : float;
-      (** chance a preemption tick also fires a spurious completion *)
-  io_fault_prob : float;  (** per-completion chance of an injected fault *)
-  io_delay : Time.span;  (** magnitude of an injected completion delay *)
-  cache_fault_prob : float;  (** per-hit chance of a cache invalidation *)
-  storm_gap_us : float;  (** mean gap between daemon storms *)
-  storm_size : int;  (** kernel threads per storm *)
-  storm_burst : Time.span;  (** compute burst of each storm thread *)
-  flap_gap_us : float;  (** mean gap between priority flaps *)
-  flap_hold : Time.span;  (** how long a boosted priority is held *)
-  churn_gap_us : float;  (** mean gap between space arrivals *)
-  drop_gap_us : float;
-      (** mean gap between armed reallocation drops ({!Demand_drop}) *)
-  crash_gap_us : float;  (** mean gap between machine-crash attempts *)
-  partition_gap_us : float;  (** mean gap between link-cut attempts *)
-  partition_hold : Time.span;  (** how long a cut link stays down *)
-}
-
-val default : config
-(** Aggressive enough to preempt several times per millisecond of simulated
-    time and fault a noticeable fraction of I/O completions.  [kinds] is
-    {!survivable_kinds}: the {!Demand_drop} bug seed must be opted into. *)
 
 type cluster_hooks = {
   ch_machines : int;  (** machines the crash/partition draws range over *)
@@ -91,8 +68,10 @@ type cluster_hooks = {
 
 type t
 
-val attach : ?config:config -> ?cluster:cluster_hooks -> seed:int -> Sa.System.t -> t
-(** Install the configured injectors.  Call {b after} submitting every job:
+val attach :
+  ?kinds:kind list -> ?cluster:cluster_hooks -> seed:int -> Sa.System.t -> t
+(** Install one injector per kind in [kinds] (default {!survivable_kinds}).
+    Call {b after} submitting every job:
     the injector snapshots the job list to find target spaces and caches.
     Hooks installed on the kernel and on each job's cache/device stay in
     place until {!detach}.  [cluster] arms {!Machine_crash} and

@@ -105,7 +105,6 @@ type ksem_state = {
 
 type state = {
   queues : tcb Deque.t array;
-  policy : tcb Sched_policy.t;
   q_cells : cs_cell array;
   mutable next_tid : int;
   mutable live : int;
@@ -180,12 +179,10 @@ let cell_owner c = c.owner
 
 let new_cell () = { owner = None; lease_until = Time.zero; lease_for = 0 }
 
-let create_state ~queues ?(policy = Sched_policy.work_steal) ?cache ?io_dev ()
-    =
+let create_state ~queues ?cache ?io_dev () =
   if queues <= 0 then invalid_arg "Ft_core.create_state: queues";
   {
     queues = Array.init queues (fun _ -> Deque.create ());
-    policy;
     q_cells = Array.init queues (fun _ -> new_cell ());
     next_tid = 0;
     live = 0;
@@ -343,21 +340,49 @@ let make_ready s d ~at tcb =
   | Ready -> invalid_arg "make_ready: already ready"
   | Embryo | Blocked_user | Blocked_kernel -> ());
   set_state s tcb Ready;
-  s.policy.Sched_policy.sp_push_new s.queues.(at) tcb;
+  Deque.push_front s.queues.(at) tcb;
   d.work_created s tcb
 
-(* Queue discipline (where readied work enters, which end owners and
-   thieves dequeue from, cross-queue priority scan) lives in the state's
-   {!Sched_policy}; the default [work_steal] is the paper's behaviour. *)
-let tcb_prio tcb = tcb.prio
+(* The paper's ready-list discipline (Section 4.2): new, woken and
+   preempted threads go to the front of a list (LIFO, cache affinity), a
+   yielding thread to the back, the owner pops the front and a thief takes
+   the oldest from the back.  Once some thread carries a non-zero priority
+   the owner scans every list for the global best and a thief takes its
+   victim's best, so no high-priority thread waits behind a low-priority
+   one (Section 1.2, goal 2); ties prefer the local list. *)
+let best_prio dq =
+  List.fold_left (fun acc t -> max acc t.prio) min_int (Deque.to_list dq)
 
 let pop_own s index =
-  s.policy.Sched_policy.sp_pop_own ~prio:tcb_prio ~use_prio:s.has_priorities
-    s.queues index
+  let dq = s.queues.(index) in
+  if not s.has_priorities then Deque.pop_front dq
+  else begin
+    let best_here = if Deque.is_empty dq then min_int else best_prio dq in
+    let best = ref best_here and best_idx = ref index in
+    Array.iteri
+      (fun i q ->
+        if i <> index && not (Deque.is_empty q) then begin
+          let b = best_prio q in
+          if b > !best then begin
+            best := b;
+            best_idx := i
+          end
+        end)
+      s.queues;
+    if !best = min_int then None
+    else if !best_idx = index then
+      Deque.remove_first dq (fun t -> t.prio = !best)
+    else Deque.remove_last s.queues.(!best_idx) (fun t -> t.prio = !best)
+  end
 
 let steal_from s ~victim =
-  s.policy.Sched_policy.sp_steal ~prio:tcb_prio ~use_prio:s.has_priorities
-    s.queues ~victim
+  let dq = s.queues.(victim) in
+  if not s.has_priorities then Deque.pop_back dq
+  else if Deque.is_empty dq then None
+  else begin
+    let best = best_prio dq in
+    Deque.remove_last dq (fun t -> t.prio = best)
+  end
 
 let requeue_front s index tcb = Deque.push_front s.queues.(index) tcb
 
@@ -418,19 +443,20 @@ let spin_lock_cell s cell ~owner ?(slice = default_spin_slice) ~charge k =
 let set_clock s f = s.clock <- f
 
 (* The idle processor's sweep over its peers' ready lists (Section 4.2),
-   in the policy's victim order.  Nothing is charged between probes, so
-   with no chooser installed an empty list can be skipped on a plain
-   emptiness read: probing it could only fail a lock (no effect) or take
-   and drop the cell, which at most clears an expired lease (manager
-   owner ids are negative, never a lease holder's tid) — unobservable
-   either way.  Under a chooser every attempt stays a "steal-victim"
-   choice point, so recorded schedules replay unchanged.  Top-level and
-   closure-free: a sweep that finds nothing allocates nothing. *)
+   probing [(thief + k) mod n] on attempt [k].  Nothing is charged
+   between probes, so with no chooser installed an empty list can be
+   skipped on a plain emptiness read: probing it could only fail a lock
+   (no effect) or take and drop the cell, which at most clears an expired
+   lease (manager owner ids are negative, never a lease holder's tid) —
+   unobservable either way.  Under a chooser every attempt stays a
+   "steal-victim" choice point, so recorded schedules replay unchanged.
+   Top-level and closure-free: a sweep that finds nothing allocates
+   nothing. *)
 let rec sweep_from s sim ~thief ~chosen k =
   let n = Array.length s.queues in
   if k >= n then None
   else
-    let v = s.policy.Sched_policy.sp_victim ~nqueues:n ~thief ~attempt:k in
+    let v = (thief + k) mod n in
     let v =
       if chosen then
         Sim.pick sim ~site:"steal-victim" ~arity:n ~default:v
@@ -519,7 +545,7 @@ let join_thread s d tcb ~target k =
 let yield_thread s d tcb ~resume =
   tcb.resume <- resume;
   set_state s tcb Ready;
-  s.policy.Sched_policy.sp_push_yield s.queues.(tcb.binding) tcb;
+  Deque.push_back s.queues.(tcb.binding) tcb;
   d.work_created s tcb;
   d.thread_stopped tcb
 
@@ -545,7 +571,7 @@ let leave_section s d tcb ~resume =
       tcb.cs_hook <- None;
       tcb.resume <- resume;
       set_state s tcb Ready;
-      s.policy.Sched_policy.sp_push_preempted s.queues.(tcb.binding) tcb;
+      Deque.push_front s.queues.(tcb.binding) tcb;
       d.work_created s tcb;
       hook ();
       false
@@ -1210,7 +1236,7 @@ let resume_preempted s d ~at tcb ~remaining ~resume k =
          remainder completes the trap and blocks properly. *)
       tcb.resume <- (fun () -> d.charge tcb remaining resume);
       set_state s tcb Ready;
-      s.policy.Sched_policy.sp_push_preempted s.queues.(at) tcb;
+      Deque.push_front s.queues.(at) tcb;
       d.work_created s tcb;
       k ()
   | Embryo | Ready | Blocked_user | Done ->

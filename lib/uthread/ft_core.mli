@@ -78,15 +78,13 @@ type state
 
 val create_state :
   queues:int ->
-  ?policy:tcb Sched_policy.t ->
   ?cache:Sa_hw.Buffer_cache.t ->
   ?io_dev:Sa_hw.Io_device.t ->
   unit ->
   state
 (** [queues] is the number of per-processor ready lists (= maximum virtual
     processors for the kernel-thread substrate, = physical processors for
-    the activation substrate).  [policy] is the ready-list discipline
-    (default {!Sched_policy.work_steal}, the paper's behaviour).  [io_dev],
+    the activation substrate).  [io_dev],
     when given, services buffer-cache miss fills (so disk contention is
     modelled); otherwise each miss blocks for the cost model's fixed I/O
     latency, the paper's simplification. *)
@@ -173,11 +171,12 @@ val mark_kernel_blocked : state -> tcb -> unit
     path re-dispatches the thread as [Running]. *)
 
 val make_ready : state -> driver -> at:int -> tcb -> unit
-(** Enqueue on ready list [at] (via the policy's [sp_push_new]) and fire
-    [work_created]. *)
+(** Push onto the front of ready list [at] and fire [work_created]. *)
 
 val pop_own : state -> int -> tcb option
-(** Next thread from vessel [index]'s own ready list (policy-ordered). *)
+(** Next thread for vessel [index]: the front of its own ready list, or,
+    once some thread carries a non-zero priority, the globally
+    highest-priority ready thread (ties prefer the local list). *)
 
 val requeue_front : state -> int -> tcb -> unit
 (** Put a thread just taken off ready list [index] back at its front
@@ -233,14 +232,15 @@ val set_clock : state -> (unit -> Time.t) -> unit
 val steal_sweep :
   state -> Sa_engine.Sim.t -> thief:int -> (cs_cell * tcb) option
 (** One idle processor's sweep over the other ready lists (Section 4.2),
-    attempts [1 .. nqueues-1] in the policy's victim order.  Returns the
-    stolen thread with its victim's cell locked (the caller leases or
-    unlocks it), counting a steal, or [None] when no list yielded work.
-    Empty lists are skipped without a lock probe (exact: the sweep
-    charges nothing, and probing an empty list has no observable effect);
-    under a chooser every attempt is still a ["steal-victim"] choice
-    point, as recorded schedules expect.  Never spins: a held victim cell
-    is skipped. *)
+    attempt [k] in [1 .. nqueues-1] probing list [(thief + k) mod nqueues]
+    and taking from its back (its highest priority once priorities are
+    in play).  Returns the stolen thread with its victim's cell locked (the
+    caller leases or unlocks it), counting a steal, or [None] when no list
+    yielded work.  Empty lists are skipped without a lock probe (exact: the
+    sweep charges nothing, and probing an empty list has no observable
+    effect); under a chooser every attempt is still a ["steal-victim"]
+    choice point, as recorded schedules expect.  Never spins: a held victim
+    cell is skipped. *)
 
 val spin_lock_cell :
   state ->
@@ -318,7 +318,7 @@ val join_thread : state -> driver -> tcb -> target:tcb -> (unit -> unit) -> unit
 (** Continue at once if [target] is done, else block until it is. *)
 
 val yield_thread : state -> driver -> tcb -> resume:(unit -> unit) -> unit
-(** Back onto the thread's ready list (the policy's yield end), resuming
+(** Back onto the thread's ready list (its back), resuming
     with [resume]. *)
 
 val set_priority : state -> tcb -> int -> unit

@@ -83,14 +83,12 @@ and run_picked t idx ops cell tcb =
         Ft_core.unlock_cell cell;
         Ft_core.run_thread s ~index:idx tcb)
 
-let create kernel ~name ~vps ?(priority = 0) ?policy ?cache ?io_dev
+let create kernel ~name ~vps ?(priority = 0) ?cache ?io_dev
     ?(strategy = Ft_core.Copy_sections) ?(observer = fun _ _ -> ())
     ?(on_done = fun () -> ()) () =
   if vps <= 0 then invalid_arg "Ft_kt.create: vps";
   let space = Kernel.new_kthread_space kernel ~name ~priority () in
-  let core_state =
-    Ft_core.create_state ~queues:vps ?policy ?cache ?io_dev ()
-  in
+  let core_state = Ft_core.create_state ~queues:vps ?cache ?io_dev () in
   let t =
     {
       kernel;

@@ -289,7 +289,7 @@ let on_upcall t delivery =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create kernel ~name ?(priority = 0) ?policy ?cache ?io_dev
+let create kernel ~name ?(priority = 0) ?cache ?io_dev
     ?(strategy = Ft_core.Copy_sections) ?max_procs
     ?(observer = fun _ _ -> ()) ?(on_done = fun () -> ()) () =
   let ncpus = Sa_hw.Machine.cpu_count (Kernel.machine kernel) in
@@ -299,9 +299,7 @@ let create kernel ~name ?(priority = 0) ?policy ?cache ?io_dev
     | Some m when m >= 1 && m <= ncpus -> m
     | Some _ -> invalid_arg "Ft_sa.create: max_procs out of range"
   in
-  let core_state =
-    Ft_core.create_state ~queues:ncpus ?policy ?cache ?io_dev ()
-  in
+  let core_state = Ft_core.create_state ~queues:ncpus ?cache ?io_dev () in
   let t =
     {
       kernel;

@@ -15,7 +15,6 @@ val create :
   Sa_kernel.Kernel.t ->
   name:string ->
   ?priority:int ->
-  ?policy:Ft_core.tcb Sched_policy.t ->
   ?cache:Sa_hw.Buffer_cache.t ->
   ?io_dev:Sa_hw.Io_device.t ->
   ?strategy:Ft_core.strategy ->
@@ -25,11 +24,10 @@ val create :
   unit ->
   t
 (** Build a scheduler-activation address space running modified FastThreads.
-    [policy] selects the ready-list discipline (default
-    {!Sched_policy.work_steal}).  [max_procs] caps how many processors the
-    space ever asks the kernel for (default: all of them) — the knob
-    behind the speedup-vs-processors sweep of Figure 1.  Raises
-    [Invalid_argument] if the kernel is in native mode. *)
+    [max_procs] caps how many processors the space ever asks the kernel
+    for (default: all of them) — the knob behind the speedup-vs-processors
+    sweep of Figure 1.  Raises [Invalid_argument] if the kernel is in
+    native mode. *)
 
 val start : t -> Sa_program.Program.t -> unit
 (** Create the main thread and request a first processor; the initial

@@ -17,16 +17,14 @@ val create :
   name:string ->
   flavor:flavor ->
   ?priority:int ->
-  ?policy:Ft_core.tcb Sched_policy.t ->
   ?cache:Sa_hw.Buffer_cache.t ->
   ?io_dev:Sa_hw.Io_device.t ->
   ?observer:(int -> Sa_engine.Time.t -> unit) ->
   ?on_done:(unit -> unit) ->
   unit ->
   t
-(** [policy] is accepted for interface uniformity with the FastThreads
-    backends and ignored: these threads have no user-level ready lists —
-    the kernel schedules every one of them directly. *)
+(** These threads have no user-level ready lists: the kernel schedules
+    every one of them directly. *)
 
 val start : t -> Sa_program.Program.t -> unit
 val space : t -> Sa_kernel.Kernel.space

@@ -225,6 +225,74 @@ let test_truncated_schedule_rejected () =
   | exception Failure _ -> ());
   Sys.remove path
 
+(* Schedules saved before the reallocation-drop gap became a fixed
+   injector constant carry a [drop_gap_us] header key.  Such a file must
+   still load and replay strictly to its recorded digest: the key is
+   ignored, and the constant equals the value the file records.  This one
+   was saved by [sa_sim explore --schedules 1 --requests 2 --cpus 2
+   --inject demand-drop --save FILE] before the key was dropped; it holds
+   demand-drop draws (the gap is live) and steal-victim picks. *)
+let legacy_sched =
+  {|sa-sched 1
+m workload server
+m seed 1
+m cpus 2
+m requests 2
+m horizon_ns 10000000000
+m inject true
+m inject_kinds demand-drop
+m drop_gap_us 2000
+m strategy default
+m sseed 1
+m digest 5a2ecf422560ffae6cb1b6cbf907ba55
+m outcome violation
+s 0 inject:demand-drop
+s 1 sim-order
+s 2 alloc-rotation
+s 3 steal-victim
+s 4 io-complete
+d 0 2406c872edd6e782 2406c872edd6e782
+p 1 2 0 0
+p 2 2 0 0
+p 2 2 0 0
+p 3 2 0 0
+p 4 3 0 0
+p 2 2 0 0
+p 4 3 0 0
+d 0 8b0ba23ae3e1c9f2 8b0ba23ae3e1c9f2
+d 0 45ea64139d763278 45ea64139d763278
+p 3 2 0 0
+p 3 2 1 1
+d 0 fbabfdd4ed00047 fbabfdd4ed00047
+p 2 2 0 0
+d 0 7c528510ec23779b 7c528510ec23779b
+d 0 5a5f349484bd6da 5a5f349484bd6da
+d 0 bf6d22a07b987e7e bf6d22a07b987e7e
+d 0 b8c274f7ddbc9047 b8c274f7ddbc9047
+d 0 40f6abc70f601d53 40f6abc70f601d53
+p 4 3 0 0
+d 0 38aade84d707af3e 38aade84d707af3e
+.
+|}
+
+let test_legacy_sched_replays () =
+  let path = temp_sched () in
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc legacy_sched);
+  let sched = Schedule.load path in
+  Sys.remove path;
+  Alcotest.(check (option string))
+    "the header carries the old key" (Some "2000")
+    (Schedule.meta_find sched "drop_gap_us");
+  let spec = Search.spec_of_meta sched.Schedule.meta in
+  let r, consumed = Search.replay ~mode:Chooser.Strict spec sched in
+  Alcotest.(check int)
+    "every decision consumed" (Schedule.length sched) consumed;
+  Alcotest.(check (option string))
+    "digest matches the recorded one"
+    (Schedule.meta_find sched "digest")
+    (Some r.Search.digest)
+
 (* --- replay determinism (the qcheck satellites) ----------------------- *)
 
 let digest_stable_replay ~make_inner seed =
@@ -387,6 +455,8 @@ let () =
             test_schedule_roundtrip;
           Alcotest.test_case "truncated file rejected" `Quick
             test_truncated_schedule_rejected;
+          Alcotest.test_case "files with a drop_gap_us header replay" `Quick
+            test_legacy_sched_replays;
         ] );
       ( "replay-determinism",
         [

@@ -447,6 +447,37 @@ let ft_specific_tests =
 (* Priorities (Section 3.1 extension)                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* A bare FastThreads core with [queues] ready lists and a driver that
+   does nothing: threads are placed on lists and taken off them directly,
+   so a test sees exactly which thread each dequeue returns. *)
+let bare_core ~queues =
+  let s = Ft_core.create_state ~queues () in
+  let d =
+    {
+      Ft_core.costs = Sa_hw.Cost_model.firefly_cvax;
+      strategy = Ft_core.Copy_sections;
+      sa_accounting = false;
+      io_latency = Time.ns 0;
+      charge = (fun _ _ k -> k ());
+      block_io = (fun _ _ k -> k ());
+      block_kernel = (fun _ ~register:_ k -> k ());
+      thread_stopped = ignore;
+      work_created = (fun _ _ -> ());
+      all_done = ignore;
+      on_stamp = ignore;
+    }
+  in
+  (s, d)
+
+(* Ready a thread of priority [prio] on list [at] (at its front). *)
+let ready_on (s, d) ~at prio =
+  let t = Ft_core.new_thread s d (P.compute_only (Time.us 1)) in
+  Ft_core.set_priority s t prio;
+  Ft_core.make_ready s d ~at t;
+  t
+
+let tid_opt = Option.map Ft_core.tcb_id
+
 let priority_tests =
   [
     Alcotest.test_case "higher priority dispatched first (ft-sa)" `Quick
@@ -537,6 +568,50 @@ let priority_tests =
         let job = System.submit sys ~backend:`Topaz_kthreads ~name:"p" prog in
         System.run sys;
         check Alcotest.bool "still completes" true (System.finished job));
+    Alcotest.test_case "priorities span ready lists (scan and steal)" `Quick
+      (fun () ->
+        let sim = Sa_engine.Sim.create () in
+        (* List 0 reads, front to back, [lo; hi; lo]; list 1 is empty. *)
+        let lists () =
+          let c = bare_core ~queues:2 in
+          ignore (ready_on c ~at:0 0);
+          let hi = ready_on c ~at:0 5 in
+          ignore (ready_on c ~at:0 0);
+          (c, Some (Ft_core.tcb_id hi))
+        in
+        let (s, _), hi = lists () in
+        check (Alcotest.option Alcotest.int)
+          "an idle list's owner takes the best thread of another list" hi
+          (tid_opt (Ft_core.pop_own s 1));
+        let (s, _), hi = lists () in
+        check (Alcotest.option Alcotest.int)
+          "a thief takes its victim's best, not its back" hi
+          (tid_opt (Option.map snd (Ft_core.steal_sweep s sim ~thief:1)));
+        (* Equal best priorities on both lists: the owner keeps to its own. *)
+        let c, hi = lists () in
+        ignore (ready_on c ~at:1 5);
+        check (Alcotest.option Alcotest.int) "ties prefer the local list" hi
+          (tid_opt (Ft_core.pop_own (fst c) 0)));
+    Alcotest.test_case "without priorities: LIFO owner, FIFO thief, rotation"
+      `Quick (fun () ->
+        let sim = Sa_engine.Sim.create () in
+        let ((s, _) as c) = bare_core ~queues:3 in
+        let a = ready_on c ~at:0 0 in
+        let b = ready_on c ~at:0 0 in
+        let x = ready_on c ~at:2 0 in
+        let steal () =
+          let cell, t = Option.get (Ft_core.steal_sweep s sim ~thief:1) in
+          Ft_core.unlock_cell cell;
+          Ft_core.tcb_id t
+        in
+        (* thief 1 probes list (1 + 1) mod 3 = 2 before list 0 *)
+        check Alcotest.int "victims in (thief + k) mod n" (Ft_core.tcb_id x)
+          (steal ());
+        check Alcotest.int "a thief takes the oldest" (Ft_core.tcb_id a)
+          (steal ());
+        check (Alcotest.option Alcotest.int) "the owner pops the newest"
+          (Some (Ft_core.tcb_id b))
+          (tid_opt (Ft_core.pop_own s 0)));
   ]
 
 (* ------------------------------------------------------------------ *)
